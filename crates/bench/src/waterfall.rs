@@ -71,9 +71,9 @@ pub struct RequestSpan {
     pub stm_backoff_ns: u64,
     /// WAL durability wait (leader or follower) for the batch.
     pub wal_ns: u64,
-    /// Group-window linger observed while this batch committed
-    /// (informational: already inside `wal_ns` when this thread led
-    /// the flush — not added into the sum).
+    /// Flush leader's wait for in-flight siblings observed while this
+    /// batch committed (informational: already inside `wal_ns` when
+    /// this thread led the flush — not added into the sum).
     pub wal_linger_ns: u64,
     /// Fsync time observed while this batch committed (informational,
     /// inside `wal_ns` like the linger).

@@ -193,8 +193,9 @@ impl StmStats {
         }
     }
 
-    /// Record time a committer spent blocked on WAL durability (group
-    /// commit linger + fsync as seen from the waiting side).
+    /// Record time a committer spent blocked on WAL durability (the
+    /// leader's wait for siblings + fsync as seen from the waiting
+    /// side).
     pub(crate) fn record_wal_wait(&self, ns: u64) {
         if ns > 0 {
             self.shard().wal_wait_ns.fetch_add(ns, Ordering::Relaxed);

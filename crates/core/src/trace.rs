@@ -124,9 +124,10 @@ pub mod code {
     /// sequence durable. `a` = nanoseconds waited, `b` = the awaited
     /// sequence number.
     pub const WAL_FOLLOWER_WAIT: u8 = 12;
-    /// The WAL flush leader lingered for the group window. `n` =
-    /// entries staged when the linger began, `a` = nanoseconds
-    /// lingered.
+    /// The WAL flush leader waited for logged transactions it saw in
+    /// flight (never emitted by a leader that saw none). `n` = siblings
+    /// in flight when the wait began, `a` = nanoseconds waited — at
+    /// most the group window.
     pub const WAL_LINGER: u8 = 13;
     /// The WAL flush leader's append+fsync I/O. `n` = entries in the
     /// batch, `a` = I/O nanoseconds, `b` = bytes appended. (Same

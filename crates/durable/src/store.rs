@@ -317,9 +317,14 @@ impl DurableKv {
             return Err(DurabilityLost);
         }
         // Backpressure *before* the transaction: the redo sink runs
-        // under location locks and must never block.
-        self.wal.throttle();
+        // under location locks and must never block. From here until
+        // the STM run returns — committed, or read-only after any
+        // number of retries — a flush leader counts this transaction
+        // as a sibling worth waiting for; the guard goes before
+        // `wait_durable`, where this thread may be that leader.
+        let in_flight = self.wal.admit();
         let (value, info) = self.store.txn_logged(|kv| f(&mut DurableTxn { kv }));
+        drop(in_flight);
         let outcome = match info.seq {
             // Read-only transaction (or one whose writes all vanished):
             // nothing to persist.

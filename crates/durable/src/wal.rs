@@ -10,14 +10,22 @@
 //!
 //! * In [`Durability::Sync`] mode a committer then calls
 //!   [`Wal::wait_durable`]. The first waiter that finds no flush in
-//!   flight becomes the **leader**: it lingers for
-//!   [`WalConfig::group_window`] (letting concurrent committers pile
-//!   into the staging buffer), then takes the whole buffer, appends it
-//!   to the current segment and issues **one** fsync for every commit
-//!   in the batch. Followers just sleep on the condvar until
-//!   `durable_seq` covers their sequence number. This is the classic
-//!   leader/follower group commit: fsyncs per second is bounded by
-//!   `1 / group_window`, not by the commit rate.
+//!   flight becomes the **leader**: it takes the whole staging buffer,
+//!   appends it to the current segment and issues **one** fsync for
+//!   every commit in the batch. Followers just sleep on the condvar
+//!   until `durable_seq` covers their sequence number.
+//! * The leader is **sibling-aware**. Every logged transaction is
+//!   registered with the log from admission ([`Wal::admit`]) until its
+//!   STM run returns — it has staged its entry by then, or aborted, or
+//!   turned out read-only. A leader that sees no registered sibling
+//!   takes the buffer at once: a sole committer pays the device and
+//!   nothing else. A leader that sees siblings waits on the condvar
+//!   until the last of them has left, woken by that sibling itself,
+//!   and for at most [`WalConfig::group_window`]. The window is a cap
+//!   on waiting for committers that are demonstrably on their way,
+//!   never a cost paid on a timer; while a flush is on the device,
+//!   later commits pile into staging behind it, so batches grow with
+//!   the commit rate and the device's latency, not with the window.
 //! * In [`Durability::Async`] mode nobody waits; a background flusher
 //!   (owned by `DurableKv`) calls [`Wal::flush_tick`] every
 //!   [`WalConfig::async_interval`]. Acked commits may be lost on a
@@ -31,7 +39,7 @@
 //! whose tail state is unknown — the durable prefix on disk stays
 //! exactly the prefix recovery will replay.
 //!
-//! [`Wal::throttle`] bounds staged-but-unflushed bytes
+//! [`Wal::admit`] bounds staged-but-unflushed bytes
 //! ([`WalConfig::max_inflight_bytes`]): callers invoke it *before*
 //! entering the STM transaction (the sink itself must never block — it
 //! runs under location locks), so commit admission slows to the flush
@@ -69,11 +77,13 @@ pub struct WalConfig {
     /// many bytes (checked at flush boundaries, so segments overshoot
     /// by at most one batch).
     pub segment_bytes: u64,
-    /// Backpressure cap: [`Wal::throttle`] blocks while staged bytes
+    /// Backpressure cap: [`Wal::admit`] blocks while staged bytes
     /// exceed this.
     pub max_inflight_bytes: usize,
-    /// Leader linger before taking a batch. Zero disables the linger
-    /// (torture tests use zero to maximize distinct crash points).
+    /// Upper bound on how long a flush leader waits for the logged
+    /// transactions it can see in flight before taking the batch; with
+    /// none in flight it never waits. Zero disables the wait (torture
+    /// tests use zero to maximize distinct crash points).
     pub group_window: Duration,
     /// Background flush period in [`Durability::Async`] mode.
     pub async_interval: Duration,
@@ -109,6 +119,10 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 struct WalInner {
     /// Framed entries staged since the last flush took the buffer.
     staging: Vec<u8>,
+    /// The previous batch's buffer, cleared: the next flush swaps it in
+    /// for `staging`, so batches reuse two allocations instead of
+    /// regrowing a fresh `Vec` each.
+    spare: Vec<u8>,
     /// Commits staged in `staging`.
     staged_entries: u64,
     /// Highest sequence number staged in `staging`.
@@ -117,9 +131,15 @@ struct WalInner {
     next_seq: u64,
     /// Highest sequence number known durable on storage.
     durable_seq: u64,
-    /// A leader is between taking the buffer and publishing the flush
+    /// A leader is between claiming the flush and publishing its
     /// outcome.
     flushing: bool,
+    /// Logged transactions between [`Wal::admit`] and the end of their
+    /// STM run: the siblings a leader can see coming.
+    in_flight: u32,
+    /// The leader is waiting on the condvar for `in_flight` to reach
+    /// zero; the last sibling to leave must wake it.
+    lingering: bool,
     /// A log I/O failed; durability promises can no longer be kept.
     poisoned: bool,
     /// Current segment number appends go to.
@@ -152,11 +172,14 @@ impl Wal {
             cfg,
             inner: Mutex::new(WalInner {
                 staging: Vec::new(),
+                spare: Vec::new(),
                 staged_entries: 0,
                 staged_hi_seq: 0,
                 next_seq,
                 durable_seq: next_seq.saturating_sub(1),
                 flushing: false,
+                in_flight: 0,
+                lingering: false,
                 poisoned: false,
                 segment,
                 segment_fill: 0,
@@ -258,11 +281,14 @@ impl Wal {
         }
     }
 
-    /// Commit-admission backpressure: block while staged bytes are at
-    /// or over [`WalConfig::max_inflight_bytes`]. Call *before*
-    /// starting a logged transaction — never from inside the commit
-    /// path.
-    pub fn throttle(&self) {
+    /// Commit admission: block while staged bytes are at or over
+    /// [`WalConfig::max_inflight_bytes`], then register the caller as a
+    /// logged transaction in flight. Call *before* starting the
+    /// transaction — never from inside the commit path — and drop the
+    /// guard as soon as the STM run returns, before
+    /// [`Wal::wait_durable`]: a flush leader waits for registered
+    /// transactions, so one that kept its guard would wait for itself.
+    pub fn admit(&self) -> InFlight<'_> {
         let mut inner = self.lock();
         while inner.staging.len() >= self.cfg.max_inflight_bytes && !inner.poisoned {
             if !inner.flushing {
@@ -271,6 +297,8 @@ impl Wal {
                 inner = self.cond.wait(inner).expect("wal mutex poisoned");
             }
         }
+        inner.in_flight += 1;
+        InFlight { wal: self }
     }
 
     /// Start a new segment (checkpoint cut); returns the number of the
@@ -303,35 +331,43 @@ impl Wal {
         self.high_water.load(Ordering::Relaxed)
     }
 
-    /// The leader path: mark a flush in flight, linger for the group
-    /// window, take the whole staging buffer, do one append + one fsync
-    /// for the batch, publish the outcome. Consumes and returns the
-    /// guard because the I/O (and the linger) run unlocked.
+    /// The leader path: claim the flush, wait for the in-flight
+    /// siblings (if any, and for at most the group window), take the
+    /// whole staging buffer, do one append + one fsync for the batch,
+    /// publish the outcome. Consumes and returns the guard because the
+    /// I/O (and the wait) run unlocked.
     fn flush_locked<'a>(&'a self, mut inner: MutexGuard<'a, WalInner>) -> MutexGuard<'a, WalInner> {
         inner.flushing = true;
+        let awaited = inner.in_flight;
         let mut linger_ns = 0u64;
-        if !self.cfg.group_window.is_zero() {
-            drop(inner);
+        if awaited > 0 && !self.cfg.group_window.is_zero() {
             let linger_start = std::time::Instant::now();
-            std::thread::sleep(self.cfg.group_window);
+            inner.lingering = true;
+            inner = self
+                .cond
+                .wait_timeout_while(inner, self.cfg.group_window, |inner| inner.in_flight > 0)
+                .expect("wal mutex poisoned")
+                .0;
+            inner.lingering = false;
             linger_ns = linger_start.elapsed().as_nanos() as u64;
-            inner = self.lock();
         }
-        let buf = std::mem::take(&mut inner.staging);
+        let spare = std::mem::take(&mut inner.spare);
+        let mut buf = std::mem::replace(&mut inner.staging, spare);
         let entries = std::mem::take(&mut inner.staged_entries);
         let hi = inner.staged_hi_seq;
         let seg = inner.segment;
         drop(inner);
 
         if linger_ns > 0 {
-            // How long the leader held the batch open — the time every
-            // commit in the group spends waiting for stragglers.
+            // How long the leader held the batch open for the siblings
+            // it saw in flight — time every commit in the group spends
+            // waiting for them. A leader that saw none emits nothing.
             polytm::trace::emit(|| {
                 polytm::trace::TraceEvent::new(
                     polytm::trace::code::WAL_LINGER,
                     0,
                     polytm::trace::NO_CLASS,
-                    entries.min(u64::from(u32::MAX)) as u32,
+                    awaited,
                     linger_ns,
                     0,
                 )
@@ -404,8 +440,30 @@ impl Wal {
             }
             Err(_) => inner.poisoned = true,
         }
+        buf.clear();
+        inner.spare = buf;
         self.cond.notify_all();
         inner
+    }
+}
+
+/// One logged transaction registered as in flight (see [`Wal::admit`]).
+/// Dropping it — on commit, abort or a read-only outcome alike — is
+/// what tells a waiting flush leader this sibling has nothing more to
+/// stage.
+pub struct InFlight<'a> {
+    wal: &'a Wal,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Not `Wal::lock`: a drop during unwinding must not panic on a
+        // mutex some other panic poisoned.
+        let Ok(mut inner) = self.wal.inner.lock() else { return };
+        inner.in_flight -= 1;
+        if inner.lingering && inner.in_flight == 0 {
+            self.wal.cond.notify_all();
+        }
     }
 }
 
@@ -427,7 +485,10 @@ impl RedoSink for Wal {
             let occupancy = inner.staging.len() as u64;
             self.high_water.fetch_max(occupancy, Ordering::Relaxed);
         }
-        self.cond.notify_all();
+        // No notify: nobody sleeps on the condvar for an entry to be
+        // staged. Followers wait for a flush outcome, and a lingering
+        // leader for this transaction's `InFlight` guard, which drops
+        // right after the commit that called us returns.
         seq
     }
 }
@@ -437,6 +498,11 @@ mod tests {
     use super::*;
     use crate::frame::decode_entry;
     use crate::storage::FaultFs;
+    use crate::{DurableKv, DurableKvConfig};
+    use polytm::trace::{code, TraceEvent, TraceSink};
+    use polytm_kv::Value;
+    use std::thread::{JoinHandle, ThreadId};
+    use std::time::Instant;
 
     fn test_cfg() -> WalConfig {
         WalConfig { group_window: Duration::ZERO, ..WalConfig::default() }
@@ -505,15 +571,15 @@ mod tests {
     }
 
     #[test]
-    fn throttle_bounds_staging() {
+    fn admission_bounds_staging() {
         let fs = Arc::new(FaultFs::new(11));
         let cfg = WalConfig { max_inflight_bytes: 256, ..test_cfg() };
         let wal = Wal::new(fs, cfg, 1, 0);
         for i in 0..64u64 {
-            wal.throttle();
+            let _in_flight = wal.admit();
             wal.append(i + 1, &[7u8; 32]);
         }
-        // Each entry is 28 + 32 = 60 bytes; throttle flushes whenever
+        // Each entry is 28 + 32 = 60 bytes; admission flushes whenever
         // staging is at/over 256, so occupancy never exceeds cap + one
         // entry.
         assert!(
@@ -523,5 +589,129 @@ mod tests {
         );
         wal.flush_all().unwrap();
         assert_eq!(wal.durable_seq(), 64);
+    }
+
+    // -- the sibling-aware leader --------------------------------------
+    //
+    // Every interleaving below is forced: the test thread holds the
+    // sibling's guard and acts only once it has *seen* the leader
+    // parked (`lingering`), and the windows are far from anything the
+    // scheduler can add (a minute where the leader must be woken, tens
+    // of milliseconds where it must time out).
+
+    /// The process-wide trace sink of this test binary: `WAL_LINGER`
+    /// events, told apart by emitting thread (always the leader's).
+    struct Lingers(Mutex<Vec<(ThreadId, TraceEvent)>>);
+
+    impl TraceSink for Lingers {
+        fn record(&self, ev: TraceEvent) {
+            if ev.code == code::WAL_LINGER {
+                self.0.lock().unwrap().push((std::thread::current().id(), ev));
+            }
+        }
+    }
+
+    static LINGERS: Lingers = Lingers(Mutex::new(Vec::new()));
+
+    fn lingers_of(id: ThreadId) -> Vec<TraceEvent> {
+        LINGERS.0.lock().unwrap().iter().filter(|(t, _)| *t == id).map(|(_, ev)| *ev).collect()
+    }
+
+    fn wal_with_window(seed: u64, group_window: Duration) -> (Arc<Wal>, Arc<Stm>) {
+        polytm::trace::install(&LINGERS);
+        let cfg = WalConfig { group_window, ..WalConfig::default() };
+        let wal = Arc::new(Wal::new(Arc::new(FaultFs::new(seed)), cfg, 1, 0));
+        let stm = Arc::new(Stm::new());
+        wal.attach_stm(&stm);
+        (wal, stm)
+    }
+
+    /// Stage one entry on a new thread and lead its flush; yields the
+    /// leader's thread id and how long `wait_durable` took.
+    fn spawn_leader(wal: &Arc<Wal>) -> JoinHandle<(ThreadId, Duration)> {
+        let wal = Arc::clone(wal);
+        std::thread::spawn(move || {
+            let seq = wal.append(1, b"leader");
+            let start = Instant::now();
+            wal.wait_durable(seq).expect("healthy log");
+            (std::thread::current().id(), start.elapsed())
+        })
+    }
+
+    fn await_lingering(wal: &Wal) {
+        while !wal.lock().lingering {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn sole_committer_never_waits_for_the_window() {
+        polytm::trace::install(&LINGERS);
+        let window = Duration::from_secs(2);
+        let cfg = DurableKvConfig {
+            wal: WalConfig { group_window: window, ..WalConfig::default() },
+            ..DurableKvConfig::default()
+        };
+        let store = DurableKv::open(Arc::new(FaultFs::new(21)), cfg).unwrap();
+        let start = Instant::now();
+        for k in 0..3u64 {
+            store.put(k, Value::from_u64(k)).unwrap();
+        }
+        // A committer still registered in flight when it led its own
+        // flush would sit out the whole window on every put.
+        assert!(start.elapsed() < window / 2, "three sole commits took {:?}", start.elapsed());
+        let stats = store.stm().stats();
+        assert_eq!((stats.commits_durable, stats.fsyncs), (3, 3));
+        assert!(lingers_of(std::thread::current().id()).is_empty(), "nobody to linger for");
+    }
+
+    #[test]
+    fn leader_waits_for_an_in_flight_sibling_and_one_sync_covers_both() {
+        let window = Duration::from_secs(60);
+        let (wal, stm) = wal_with_window(22, window);
+        let sibling = wal.admit();
+        let leader = spawn_leader(&wal);
+        await_lingering(&wal);
+        let seq = wal.append(2, b"sibling");
+        assert_eq!(wal.durable_seq(), 0, "the leader flushed past a sibling it could see");
+        drop(sibling);
+        let (leader_id, waited) = leader.join().unwrap();
+        wal.wait_durable(seq).expect("covered by the leader's batch");
+        assert!(waited < window, "woken by the sibling, not by the window");
+        let stats = stm.stats();
+        assert_eq!((stats.commits_durable, stats.fsyncs, stats.group_commit_batches), (2, 1, 1));
+        let lingers = lingers_of(leader_id);
+        assert_eq!(lingers.len(), 1);
+        assert_eq!(lingers[0].n, 1, "one sibling awaited");
+    }
+
+    #[test]
+    fn a_sibling_that_leaves_without_staging_releases_the_leader() {
+        let window = Duration::from_secs(60);
+        let (wal, stm) = wal_with_window(23, window);
+        // An aborted or read-only transaction: admitted, never appends.
+        let sibling = wal.admit();
+        let leader = spawn_leader(&wal);
+        await_lingering(&wal);
+        assert_eq!(wal.durable_seq(), 0);
+        drop(sibling);
+        let (_, waited) = leader.join().unwrap();
+        assert!(waited < window, "woken by the sibling leaving, not by the window");
+        let stats = stm.stats();
+        assert_eq!((stats.commits_durable, stats.fsyncs), (1, 1));
+    }
+
+    #[test]
+    fn a_sibling_that_never_leaves_costs_the_leader_one_window() {
+        let window = Duration::from_millis(40);
+        let (wal, stm) = wal_with_window(24, window);
+        let sibling = wal.admit();
+        let (leader_id, waited) = spawn_leader(&wal).join().unwrap();
+        assert!(waited >= window, "the leader gave up after {waited:?}, before the window");
+        assert_eq!(stm.stats().fsyncs, 1);
+        let lingers = lingers_of(leader_id);
+        assert_eq!(lingers.len(), 1);
+        assert!(lingers[0].a >= window.as_nanos() as u64 && lingers[0].n == 1);
+        drop(sibling);
     }
 }

@@ -3,7 +3,7 @@
 //! and checkpoint-vs-live-snapshot interaction.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use polytm_durable::storage::FaultFs;
@@ -207,25 +207,35 @@ fn io_failure_degrades_to_read_only_not_panic() {
 
 #[test]
 fn group_commit_amortizes_fsyncs_across_committers() {
+    // The default config on an instant device: nothing makes the two
+    // committers' flushes overlap except the leader seeing its sibling
+    // in flight. Each round's two transactions meet at a barrier
+    // *inside* their closures — both admitted, neither staged — so
+    // whichever reaches `wait_durable` first finds the other either in
+    // flight (and waits for it) or already staged.
     let fs = Arc::new(FaultFs::new(404));
-    let cfg = DurableKvConfig {
-        wal: WalConfig {
-            mode: Durability::Sync,
-            // A real linger so concurrent committers pile into one
-            // batch even on a single core.
-            group_window: Duration::from_millis(2),
-            ..WalConfig::default()
-        },
-        ..DurableKvConfig::default()
-    };
-    let store = Arc::new(DurableKv::open(fs, cfg).unwrap());
+    let store = Arc::new(DurableKv::open(fs, DurableKvConfig::default()).unwrap());
     let per_thread = 40u64;
+    let barrier = Barrier::new(2);
     std::thread::scope(|scope| {
         for t in 0..2u64 {
             let store = Arc::clone(&store);
+            let barrier = &barrier;
             scope.spawn(move || {
                 for i in 0..per_thread {
-                    store.put(t * 1000 + i, Value::from_u64(i)).unwrap();
+                    // Once per round, not per attempt: a retried
+                    // closure must not wait for a partner that is
+                    // already past the barrier.
+                    let mut met = false;
+                    store
+                        .txn(|tx| {
+                            if !met {
+                                met = true;
+                                barrier.wait();
+                            }
+                            tx.put(t * 1000 + i, Value::from_u64(i))
+                        })
+                        .unwrap();
                 }
             });
         }

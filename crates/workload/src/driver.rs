@@ -244,10 +244,13 @@ pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
 /// The timed-measurement core shared by the set driver above and the
 /// record-store driver in [`crate::kv`]: `threads` workers each run a
 /// per-thread step closure (built by `make_step`, which owns the
-/// thread's deterministic streams) until the stop flag. Each step is
-/// told whether to time itself (`true` only inside the measured window
-/// with latency recording on — the step picks its own timing boundary
-/// around the measured operation and returns the sample). Operations
+/// thread's deterministic streams) until the stop flag — and until it
+/// has completed at least one step inside the measured window, so a
+/// worker the scheduler starved through a short window still reports.
+/// Each step is told whether to time itself (`true` only inside the
+/// measured window with latency recording on — the step picks its own
+/// timing boundary around the measured operation and returns the
+/// sample). Operations
 /// are counted — and each step's tally of type `T` folded — only
 /// inside the measured window (warmup work is discarded by resetting
 /// on window entry); latency samples go into per-thread histograms
@@ -293,7 +296,11 @@ where
                 let mut local_ops = 0u64;
                 let mut tally = T::default();
                 let mut counted = false;
-                while !stop.load(Ordering::Relaxed) {
+                // `counted` first: a worker starved through a short
+                // window still completes one in-window step before it
+                // honours stop (the window flag is always set before
+                // the stop flag), so every role reports progress.
+                while !(counted && stop.load(Ordering::Relaxed)) {
                     let in_window = measuring.load(Ordering::Relaxed);
                     let (delta, sample_ns) = step(in_window && record_latency);
                     if let Some(ns) = sample_ns {
@@ -310,10 +317,8 @@ where
                         fold(&mut tally, delta);
                     }
                 }
-                if counted {
-                    total_ops.fetch_add(local_ops, Ordering::Relaxed);
-                    fold(&mut merged_tally.lock().expect("tally mutex poisoned"), tally);
-                }
+                total_ops.fetch_add(local_ops, Ordering::Relaxed);
+                fold(&mut merged_tally.lock().expect("tally mutex poisoned"), tally);
                 if hist.count() > 0 {
                     merged_hist.lock().expect("histogram mutex poisoned").merge(&hist);
                 }
