@@ -1,14 +1,20 @@
 //! Registry of live snapshot read bounds, driving version retention.
 //!
-//! Version chains used to be truncated at a fixed `history_depth`, which
-//! made long snapshot scans die with `SnapshotUnavailable` whenever
-//! writers churned a location more than `history_depth` times during the
-//! scan. The registry replaces that guess with the actual demand: every
+//! A version chain is kept exactly as long as the demand for it: every
 //! top-level snapshot transaction registers its read bound in a slot
 //! here, and committers compute a **watermark** — the oldest registered
 //! bound, clamped to their own write version — below which no live
-//! snapshot can ever read. [`crate::VarCore`]'s truncation then keeps
-//! the depth floor *plus* everything a registered bound can still reach.
+//! snapshot can ever read. [`crate::VarCore`]'s truncation keeps what a
+//! bound at or above the watermark can still reach and nothing else —
+//! there is no fixed-depth floor — so with no snapshot registered a
+//! publish keeps the new head only.
+//!
+//! The one reader this leaves without cover is a snapshot block nested
+//! in an *optimistic* parent: it inherits a bound the parent sampled
+//! without registering, and registers it late. Whatever was overwritten
+//! in between is already gone — such a block sees
+//! `Abort::SnapshotUnavailable` and the whole transaction re-runs with a
+//! fresh bound.
 //!
 //! ## Why a missed registration is still safe
 //!
@@ -32,8 +38,9 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use crate::shard::current_thread_index;
 
 /// Number of registration slots. Snapshots beyond this many concurrent
-/// registrants fall back to unregistered (depth-floor-only) retention
-/// and abort with a capacity error if truncation outruns them.
+/// registrants run unregistered — nothing retains history on their
+/// behalf — and abort with a capacity error when an overwrite outruns
+/// them.
 const SNAP_SLOTS: usize = 64;
 
 /// Sentinel for a free slot.

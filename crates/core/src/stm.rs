@@ -20,16 +20,13 @@ use crate::tvar::{TVar, TxValue};
 use crate::txn::{CommitReceipt, Transaction};
 
 /// Tuning knobs of an [`Stm`] instance.
+///
+/// There is no version-history knob: a location keeps exactly the
+/// versions a registered [`Semantics::Snapshot`] bound can still reach
+/// (the snapshot registry's watermark), and its head alone while no
+/// snapshot is live.
 #[derive(Debug, Clone, Copy)]
 pub struct StmConfig {
-    /// *Floor* on the number of older versions each location retains
-    /// behind its head (for [`Semantics::Snapshot`] transactions). 0
-    /// disables the floor. Retention beyond the floor is driven by the
-    /// snapshot registry's watermark: any version a live snapshot
-    /// bound can still reach is kept regardless of depth, so this knob
-    /// trades memory for how much history *idle* (unregistered)
-    /// periods keep around, not for scan survivability.
-    pub history_depth: usize,
     /// The contention manager.
     pub arbiter: ConflictArbiter,
     /// Composition policy applied by [`Transaction::nested`].
@@ -44,7 +41,6 @@ pub struct StmConfig {
 impl Default for StmConfig {
     fn default() -> Self {
         Self {
-            history_depth: 16,
             arbiter: ConflictArbiter::default(),
             nesting_policy: NestingPolicy::Strongest,
             irrevocable_fallback_after: Some(64),
@@ -292,10 +288,9 @@ impl Stm {
         self.stats.record_wal_wait(ns);
     }
 
-    /// Create a [`TVar`] tagged to this instance, honouring the configured
-    /// snapshot history depth.
+    /// Create a [`TVar`] tagged to this instance.
     pub fn new_tvar<T: TxValue>(&self, value: T) -> TVar<T> {
-        TVar::with_history(value, self.config.history_depth, self.id)
+        TVar::tagged(value, self.id)
     }
 
     /// Run a transaction to commit — the paper's `start(p) … commit`.

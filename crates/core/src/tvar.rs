@@ -19,16 +19,6 @@ pub trait TxValue: Clone + Send + Sync + 'static {}
 
 impl<T: Clone + Send + Sync + 'static> TxValue for T {}
 
-/// Default snapshot history depth for vars created outside an
-/// [`crate::Stm`] (see [`crate::StmConfig::history_depth`]).
-///
-/// Under watermark-based retention this is a *floor*, not a cap: a
-/// var always keeps at least this many versions, and additionally
-/// keeps every version a live snapshot bound (tracked by the snapshot
-/// registry) can still reach — long scans extend retention past the
-/// floor instead of dying with `SnapshotUnavailable`.
-pub const DEFAULT_HISTORY_DEPTH: usize = 16;
-
 /// A shared register accessed through transactions — the paper's shared
 /// memory "partitioned into shared registers, supporting atomic
 /// reads/writes, and metadata used for synchronization".
@@ -50,14 +40,13 @@ pub struct TVar<T: TxValue> {
 }
 
 impl<T: TxValue> TVar<T> {
-    /// Create an untagged var with the default history depth. Prefer
-    /// [`crate::Stm::new_tvar`].
+    /// Create an untagged var. Prefer [`crate::Stm::new_tvar`].
     pub fn new(value: T) -> Self {
-        Self::with_history(value, DEFAULT_HISTORY_DEPTH, 0)
+        Self::tagged(value, 0)
     }
 
-    pub(crate) fn with_history(value: T, history_depth: usize, stm_id: u64) -> Self {
-        Self { core: Arc::new(VarCore::new(value, history_depth, stm_id)) }
+    pub(crate) fn tagged(value: T, stm_id: u64) -> Self {
+        Self { core: Arc::new(VarCore::new(value, stm_id)) }
     }
 
     /// Transactional read — the paper's `r(x)`.

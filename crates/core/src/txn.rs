@@ -996,7 +996,7 @@ mod tests {
     #[test]
     fn snapshot_read_of_future_committer_lock_is_wait_free() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, 4, stm.id()));
+        let core = Arc::new(VarCore::new(7i64, stm.id()));
         // Commit version 1, then advance the clock so a snapshot begun
         // now reads at rv = 2.
         core.try_lock(1).unwrap();
@@ -1018,7 +1018,7 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_in_the_sentinel_window() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, 4, stm.id()));
+        let core = Arc::new(VarCore::new(7i64, stm.id()));
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
@@ -1038,7 +1038,7 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_when_committer_is_inside_its_cut() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, 4, stm.id()));
+        let core = Arc::new(VarCore::new(7i64, stm.id()));
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
@@ -1059,9 +1059,9 @@ mod tests {
     #[test]
     fn chain_miss_classification_tracks_registration() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(0i64, 0, stm.id()));
-        // Three commits at depth 0: only the head survives, so a bound
-        // below it misses.
+        let core = Arc::new(VarCore::new(0i64, stm.id()));
+        // Three commits with no snapshot live: only the head survives,
+        // so a bound below it misses.
         for _ in 0..3 {
             core.try_lock(1).unwrap();
             core.publish(1, stm.clock().advance());

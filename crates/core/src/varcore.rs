@@ -8,7 +8,8 @@
 //!
 //! Values are never mutated in place. A commit publishes a fresh
 //! [`VersionNode`] and links the previous node behind it; the chain is
-//! truncated to a configurable history depth, with severed nodes handed to
+//! truncated to exactly what a registered snapshot bound can still reach
+//! (the head alone when none is live), with severed nodes handed to
 //! crossbeam-epoch for deferred destruction. This gives us three things at
 //! once:
 //!
@@ -72,13 +73,10 @@ pub(crate) struct VarCore<T> {
     /// it without arbitrating (see DESIGN.md "MVCC read path" for the
     /// ordering proof).
     pending_wv: AtomicU64,
+    /// Newest committed version; older ones hang behind it for as long
+    /// as the snapshot watermark passed to publish says a live bound can
+    /// still reach them.
     head: Atomic<VersionNode<T>>,
-    /// Minimum number of versions retained behind the head (≥ 0). The
-    /// head itself is always retained. Beyond this floor, retention is
-    /// governed by the snapshot watermark passed to publish: versions a
-    /// live snapshot bound could still reach are kept regardless of
-    /// depth.
-    history_depth: usize,
     /// Identifier of the [`crate::Stm`] this var is tagged to, or 0 for
     /// untagged vars. Mixing vars across STM instances breaks version
     /// ordering; the tag lets us catch it in debug builds.
@@ -86,14 +84,13 @@ pub(crate) struct VarCore<T> {
 }
 
 impl<T: TxValue> VarCore<T> {
-    pub(crate) fn new(value: T, history_depth: usize, stm_id: u64) -> Self {
+    pub(crate) fn new(value: T, stm_id: u64) -> Self {
         let node = Owned::new(VersionNode { version: 0, value, prev: Atomic::null() });
         Self {
             lockword: AtomicU64::new(0),
             owner: AtomicU64::new(0),
             pending_wv: AtomicU64::new(0),
             head: Atomic::from(node),
-            history_depth,
             stm_id,
         }
     }
@@ -156,11 +153,11 @@ impl<T: TxValue> VarCore<T> {
     }
 
     /// Publishes `value` as the new head version and releases the lock
-    /// with `new_version`, retaining every version still reachable by a
-    /// live snapshot (watermark `u64::MAX` = depth-only retention). Must
-    /// be called while holding the lock. (Production paths publish
-    /// through [`VarCore::publish_with`] with a cached guard; this
-    /// convenience wrapper serves the unit tests.)
+    /// with `new_version`, as if no snapshot were live (watermark
+    /// `u64::MAX`: the new head is all that survives). Must be called
+    /// while holding the lock. (Production paths publish through
+    /// [`VarCore::publish_with`] with a cached guard; this convenience
+    /// wrapper serves the unit tests.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn publish(&self, value: T, new_version: u64) {
         self.publish_with(value, new_version, u64::MAX, &epoch::pin());
@@ -169,8 +166,8 @@ impl<T: TxValue> VarCore<T> {
     /// [`VarCore::publish`] under a caller-supplied epoch guard, so a
     /// commit publishing many locations pins once instead of per
     /// location. `watermark` is the oldest live snapshot bound: versions
-    /// above it, plus the newest version at or below it, stay reachable
-    /// regardless of `history_depth`.
+    /// above it, plus the newest version at or below it, stay reachable;
+    /// everything older is severed.
     pub(crate) fn publish_with(&self, value: T, new_version: u64, watermark: u64, guard: &Guard) {
         debug_assert!(self.lockword.load(Ordering::Relaxed) & LOCKED != 0);
         let old_head = self.head.load(Ordering::Relaxed, guard);
@@ -188,29 +185,23 @@ impl<T: TxValue> VarCore<T> {
         self.lockword.store(new_version << 1, Ordering::Release);
     }
 
-    /// Severs and defer-destroys chain nodes that are neither within the
-    /// `history_depth` retention floor nor reachable by a snapshot bound
-    /// `>= watermark`. A node is reachable by bound `b` iff it is the
-    /// newest node with `version <= b`; so the retained set is the floor
-    /// prefix, every node with `version > watermark`, and the newest
-    /// node at or below the watermark. Caller must hold the lock (the
-    /// chain is only mutated by lock holders, so the walk is race-free).
+    /// Severs and defer-destroys the chain nodes no snapshot bound
+    /// `>= watermark` can reach. A node is reachable by bound `b` iff it
+    /// is the newest node with `version <= b`; so the retained set is
+    /// every node with `version > watermark` plus the newest node at or
+    /// below the watermark — with no live snapshot (`watermark` = the
+    /// publishing commit's own version) that is the head alone. Caller
+    /// must hold the lock (the chain is only mutated by lock holders, so
+    /// the walk is race-free).
     fn truncate_history(&self, watermark: u64, guard: &Guard) {
-        let mut kept = 0usize;
-        // Set once the walk passes the newest node with
-        // `version <= watermark` — everything older is unreachable by
-        // any live snapshot bound.
-        let mut crossed = false;
         let mut cur = self.head.load(Ordering::Relaxed, guard);
         while !cur.is_null() {
             // SAFETY: lock held; nodes reachable and epoch-protected.
             let node = unsafe { cur.deref() };
             let next = node.prev.load(Ordering::Relaxed, guard);
             if node.version <= watermark {
-                crossed = true;
-            }
-            kept += 1;
-            if kept > self.history_depth && crossed {
+                // The newest node at or below the watermark: everything
+                // older is unreachable by any live snapshot bound.
                 if !next.is_null() {
                     node.prev.store(epoch::Shared::null(), Ordering::Release);
                     // Defer-destroy the severed suffix node by node.
@@ -362,13 +353,13 @@ mod tests {
 
     #[test]
     fn fresh_var_reads_initial_value_at_version_zero() {
-        let core = VarCore::new(42i64, 4, 0);
+        let core = VarCore::new(42i64, 0);
         assert_eq!(value_of(&core), (42, 0));
     }
 
     #[test]
     fn lock_publish_unlock_cycle() {
-        let core = VarCore::new(1i64, 4, 0);
+        let core = VarCore::new(1i64, 0);
         let prior = core.try_lock(7).expect("lock must succeed");
         assert_eq!(prior, 0);
         // Locked: probe reports owner, committed read reports lock.
@@ -388,7 +379,7 @@ mod tests {
 
     #[test]
     fn double_lock_fails_with_owner() {
-        let core = VarCore::new(0i64, 4, 0);
+        let core = VarCore::new(0i64, 0);
         core.try_lock(3).unwrap();
         assert_eq!(core.try_lock(9), Err(3));
         core.unlock_restore(0);
@@ -398,7 +389,7 @@ mod tests {
 
     #[test]
     fn unlock_restore_keeps_version() {
-        let core = VarCore::new(0i64, 4, 0);
+        let core = VarCore::new(0i64, 0);
         core.try_lock(1).unwrap();
         core.publish(10, 8);
         core.try_lock(2).unwrap();
@@ -408,12 +399,14 @@ mod tests {
 
     #[test]
     fn snapshot_walks_history() {
-        let core = VarCore::new(0i64, 8, 0);
+        let core = VarCore::new(0i64, 0);
+        let guard = epoch::pin();
+        // A snapshot registered before every publish (watermark 0) keeps
+        // the whole chain walkable.
         for (v, ver) in [(1i64, 10u64), (2, 20), (3, 30)] {
             core.try_lock(1).unwrap();
-            core.publish(v, ver);
+            core.publish_with(v, ver, 0, &guard);
         }
-        let guard = epoch::pin();
         assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((3, 30)));
         assert_eq!(core.read_snapshot(29, &guard), Some((2, 20)));
         assert_eq!(core.read_snapshot(20, &guard), Some((2, 20)));
@@ -423,23 +416,28 @@ mod tests {
 
     #[test]
     fn history_truncation_bounds_the_chain() {
-        let core = VarCore::new(0i64, 2, 0);
+        let core = VarCore::new(0i64, 0);
+        let guard = epoch::pin();
+        // The oldest live bound trails the writer by 25 ticks: each
+        // publish keeps the versions above it plus the one it resolves
+        // to, so the chain stays four nodes long however many commits
+        // pass.
         for i in 1..=10u64 {
             core.try_lock(1).unwrap();
-            core.publish(i as i64, i * 10);
+            core.publish_with(i as i64, i * 10, (i * 10).saturating_sub(25), &guard);
         }
-        let guard = epoch::pin();
-        // head=100 plus history_depth=2 older versions (90, 80) retained.
         assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((10, 100)));
         assert_eq!(core.read_snapshot(95, &guard), Some((9, 90)));
         assert_eq!(core.read_snapshot(85, &guard), Some((8, 80)));
+        assert_eq!(core.read_snapshot(75, &guard), Some((7, 70)), "what bound 75 resolves to");
         // anything older is gone
-        assert_eq!(core.read_snapshot(75, &guard), None);
+        assert_eq!(core.read_snapshot(69, &guard), None);
     }
 
     #[test]
     fn zero_history_keeps_only_head() {
-        let core = VarCore::new(0i64, 0, 0);
+        let core = VarCore::new(0i64, 0);
+        // No snapshot live: every publish severs all it supersedes.
         core.try_lock(1).unwrap();
         core.publish(1, 10);
         core.try_lock(1).unwrap();
@@ -451,7 +449,7 @@ mod tests {
 
     #[test]
     fn publish_payload_downcasts() {
-        let core = VarCore::new(String::from("a"), 1, 0);
+        let core = VarCore::new(String::from("a"), 0);
         core.try_lock(1).unwrap();
         let mut payload = WritePayload::new(String::from("b"));
         let guard = epoch::pin();
@@ -469,7 +467,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "write payload type must match")]
     fn publish_payload_wrong_type_panics() {
-        let core = VarCore::new(0i64, 1, 0);
+        let core = VarCore::new(0i64, 0);
         core.try_lock(1).unwrap();
         let mut payload = WritePayload::new("wrong");
         let guard = epoch::pin();
@@ -478,7 +476,7 @@ mod tests {
 
     #[test]
     fn pending_wv_lifecycle_publish_and_abort() {
-        let core = VarCore::new(0i64, 4, 0);
+        let core = VarCore::new(0i64, 0);
         assert_eq!(core.pending_wv(), 0, "fresh var has no announced wv");
         core.try_lock(1).unwrap();
         assert_eq!(core.pending_wv(), 0, "locking alone is the sentinel");
@@ -494,8 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn watermark_retains_versions_past_the_depth_floor() {
-        let core = VarCore::new(0i64, 2, 0);
+    fn watermark_retains_every_version_a_live_bound_can_reach() {
+        let core = VarCore::new(0i64, 0);
         let guard = epoch::pin();
         // A live snapshot bound of 15 forces retention of version 10
         // (the newest <= 15) no matter how deep the chain grows.
@@ -504,8 +502,8 @@ mod tests {
             core.publish_with(i as i64, i * 10, 15, &guard);
         }
         assert_eq!(core.read_snapshot(15, &guard), Some((1, 10)));
-        // Everything between the watermark cut and the depth floor is
-        // retained too (it is newer than the watermark).
+        // Everything newer than the watermark cut is retained too: a
+        // bound registered later may resolve to any of it.
         for i in 2..=10u64 {
             assert_eq!(core.read_snapshot(i * 10, &guard), Some((i as i64, i * 10)));
         }
@@ -514,8 +512,8 @@ mod tests {
     }
 
     #[test]
-    fn watermark_above_head_reduces_to_depth_only_retention() {
-        let core = VarCore::new(0i64, 2, 0);
+    fn watermark_above_head_reduces_to_head_only_retention() {
+        let core = VarCore::new(0i64, 0);
         let guard = epoch::pin();
         for i in 1..=10u64 {
             core.try_lock(1).unwrap();
@@ -523,14 +521,28 @@ mod tests {
             core.publish_with(i as i64, i * 10, 1_000, &guard);
         }
         assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((10, 100)));
-        assert_eq!(core.read_snapshot(95, &guard), Some((9, 90)));
-        assert_eq!(core.read_snapshot(85, &guard), Some((8, 80)));
-        assert_eq!(core.read_snapshot(75, &guard), None);
+        assert_eq!(core.read_snapshot(99, &guard), None);
+    }
+
+    #[test]
+    fn released_bound_lets_the_next_publish_shed_what_it_pinned() {
+        let core = VarCore::new(0i64, 0);
+        let guard = epoch::pin();
+        for i in 1..=5u64 {
+            core.try_lock(1).unwrap();
+            core.publish_with(i as i64, i * 10, 0, &guard);
+        }
+        assert_eq!(core.read_snapshot(0, &guard), Some((0, 0)), "pinned by the live bound");
+        // The bound is released: one more publish keeps the head only.
+        core.try_lock(1).unwrap();
+        core.publish_with(6, 60, 60, &guard);
+        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((6, 60)));
+        assert_eq!(core.read_snapshot(59, &guard), None);
     }
 
     #[test]
     fn watermark_zero_retains_the_whole_chain() {
-        let core = VarCore::new(0i64, 1, 0);
+        let core = VarCore::new(0i64, 0);
         let guard = epoch::pin();
         // A snapshot pinned before every publish keeps all history: the
         // initial version-0 node is the watermark cut and everything

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use polytm::{ConflictArbiter, Semantics, Stm, StmConfig, TVar, TxParams};
+use polytm::{ConflictArbiter, NestingPolicy, Semantics, Stm, StmConfig, TVar, TxParams};
 
 /// Worker-thread count, env-gated for CI: `POLYTM_STRESS_THREADS`
 /// (default 4, minimum 2 so every test still exercises real
@@ -246,10 +246,11 @@ fn irrevocable_serializes_against_optimistic_commits() {
 
 #[test]
 fn snapshot_history_exhaustion_retries_transparently() {
-    // Tiny history depth + fast writer: snapshot transactions will hit
-    // SnapshotUnavailable and must retry with a fresh bound, never
-    // returning an inconsistent pair.
-    let stm = Stm::with_config(StmConfig { history_depth: 1, ..StmConfig::default() });
+    // History is kept only for registered bounds, and a snapshot block
+    // nested in an optimistic parent registers its (inherited) bound
+    // late: under a fast writer it will hit SnapshotUnavailable and must
+    // retry with a fresh bound, never returning an inconsistent pair.
+    let stm = Stm::new();
     let x = stm.new_tvar(0i64);
     let y = stm.new_tvar(0i64);
     std::thread::scope(|s| {
@@ -265,8 +266,11 @@ fn snapshot_history_exhaustion_retries_transparently() {
             }
         });
         for _ in 0..scaled(300) {
-            let (va, vb) =
-                stm.run(TxParams::new(Semantics::Snapshot), |t| Ok((x.read(t)?, y.read(t)?)));
+            let (va, vb) = stm.run(TxParams::default(), |t| {
+                t.nested_with_policy(Semantics::Snapshot, NestingPolicy::Parameter, |inner| {
+                    Ok((x.read(inner)?, y.read(inner)?))
+                })
+            });
             assert_eq!(va, vb);
         }
     });

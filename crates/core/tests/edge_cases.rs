@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use polytm::{Semantics, Stm, StmConfig, TArray, TVar, TxParams};
+use polytm::{NestingPolicy, Semantics, Stm, TArray, TVar, TxParams};
 
 #[test]
 fn panic_in_closure_releases_reentrancy_guard() {
@@ -133,22 +133,25 @@ fn elastic_window_one_is_the_weakest_read_chain() {
 
 #[test]
 fn zero_history_snapshot_retries_but_terminates() {
-    // With history_depth 0, a snapshot read races truncation constantly;
-    // it must still terminate (fresh bound each retry).
-    let stm = Stm::with_config(StmConfig { history_depth: 0, ..StmConfig::default() });
+    // No snapshot is registered when the parent samples its bound, so
+    // the overwrite below keeps x's head only. The nested snapshot
+    // block then registers that stale bound too late: its read misses
+    // (`SnapshotUnavailable`) and the whole transaction re-runs with a
+    // fresh bound — once, not forever.
+    let stm = Stm::new();
     let x = stm.new_tvar(0i64);
-    std::thread::scope(|s| {
-        let stm_ref = &stm;
-        let xh = &x;
-        s.spawn(move || {
-            for i in 0..500 {
-                stm_ref.run(TxParams::default(), |tx| xh.write(tx, i));
-            }
-        });
-        for _ in 0..100 {
-            let _ = stm.run(TxParams::new(Semantics::Snapshot), |tx| x.read(tx));
+    let attempts = AtomicU32::new(0);
+    let seen = stm.run(TxParams::default(), |tx| {
+        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+            std::thread::scope(|s| {
+                s.spawn(|| stm.run(TxParams::default(), |w| x.write(w, 1)));
+            });
         }
+        tx.nested_with_policy(Semantics::Snapshot, NestingPolicy::Parameter, |inner| x.read(inner))
     });
+    assert_eq!(seen, 1);
+    assert_eq!(attempts.load(Ordering::SeqCst), 2, "one miss, one clean re-run");
+    assert_eq!(stm.stats().aborts_unavailable, 1);
 }
 
 #[test]

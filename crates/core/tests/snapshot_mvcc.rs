@@ -8,8 +8,9 @@
 //!    torn multi-location commit, whatever the interleaving with
 //!    committers (the torn-cut detector stress).
 //! 2. **Retention** — a version reachable from a live snapshot bound
-//!    is never reclaimed, however far the writers run ahead and however
-//!    small `history_depth` is (it is a retention *floor*, not a cap).
+//!    is never reclaimed, however far the writers run ahead — and it is
+//!    the *only* retention there is: with no bound live a location keeps
+//!    its head alone.
 //! 3. **Irrevocable exclusion** — the era gate drains committers before
 //!    an irrevocable transaction starts, so its unarbitrated direct
 //!    reads can never observe a locked slot (a debug assertion in the
@@ -20,7 +21,7 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 
-use polytm::{Semantics, Stm, StmConfig, TVar, TxParams};
+use polytm::{Semantics, Stm, TVar, TxParams};
 
 /// Worker-thread count, env-gated for CI: `POLYTM_STRESS_THREADS`
 /// (default 4, minimum 2 so every test still exercises real
@@ -110,20 +111,21 @@ fn snapshot_cuts_are_commit_atomic_under_transfer_churn() {
     assert_eq!(final_total, expect);
 }
 
-/// Long scans under write churn with a *tiny* history depth: watermark
-/// retention must keep every version a live snapshot bound can reach,
-/// so registered snapshot transactions never die with
-/// `SnapshotUnavailable` — the failure mode the fixed-depth scheme had.
+/// Long scans under write churn with the minimal history there is (no
+/// retention floor at all): watermark retention must keep every version
+/// a live snapshot bound can reach, so registered snapshot transactions
+/// never die with `SnapshotUnavailable` — the failure mode the
+/// fixed-depth scheme had.
 #[test]
 fn long_scans_survive_churn_with_minimal_history_depth() {
-    let stm = Stm::with_config(StmConfig { history_depth: 1, ..StmConfig::default() });
+    let stm = Stm::new();
     const VARS: usize = 96;
     let vars: Vec<TVar<u64>> = (0..VARS).map(|_| stm.new_tvar(0u64)).collect();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         // Writers: bump a whole stripe per transaction, as fast as
-        // possible, overwriting each slot's history far past depth 1.
+        // possible, superseding each slot's head over and over.
         for tid in 0..threads().saturating_sub(1).max(1) {
             let (vars, stm, stop) = (&vars, &stm, &stop);
             s.spawn(move || {
@@ -268,16 +270,15 @@ proptest! {
 
     /// Retention property, end to end: a snapshot transaction begun
     /// *before* a burst of commits can still read every location at its
-    /// bound afterwards — however many commits landed in between and
-    /// however small the depth floor — because its registered bound
-    /// holds the truncation watermark back.
+    /// bound afterwards, however many commits landed in between,
+    /// because its registered bound holds the truncation watermark back
+    /// (nothing else retains history).
     #[test]
     fn retention_never_reclaims_a_version_a_live_bound_can_reach(
         commits in 1u64..120,
-        depth in 1usize..3,
         nvars in 2usize..6,
     ) {
-        let stm = Stm::with_config(StmConfig { history_depth: depth, ..StmConfig::default() });
+        let stm = Stm::new();
         let vars: Vec<TVar<u64>> = (0..nvars).map(|_| stm.new_tvar(0u64)).collect();
         let barrier = Barrier::new(2);
         let attempts = AtomicU32::new(0);
@@ -315,13 +316,12 @@ proptest! {
         let seen = match seen {
             Ok(seen) => seen,
             Err(abort) => return Err(TestCaseError::fail(format!(
-                "snapshot at a live bound aborted after {commits} commits (depth {depth}): {abort}"
+                "snapshot at a live bound aborted after {commits} commits: {abort}"
             ))),
         };
         prop_assert_eq!(attempts.load(Ordering::Relaxed), 1, "the bound-holding attempt retried");
         // The bound predates every commit: the cut must be the initial
-        // state, read *after* `commits` overwrites of a depth-`depth`
-        // history.
+        // state, read *after* `commits` overwrites.
         prop_assert!(seen.iter().all(|&v| v == 0), "non-initial values at the old bound: {seen:?}");
         prop_assert_eq!(stm.stats().aborts_unavailable, 0u64);
     }

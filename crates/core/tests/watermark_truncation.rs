@@ -1,8 +1,9 @@
 //! Watermark-driven retention under checkpoint-style pressure: a live
 //! registered snapshot bound must pin every version it can reach, no
-//! matter how hard writers churn past the `history_depth` floor — the
-//! property the durable crate's checkpoint (a long snapshot scan racing
-//! log truncation) leans on.
+//! matter how hard writers churn — there is no retention floor, so the
+//! registry is all that stands between a live scan and truncation. The
+//! durable crate's checkpoint (a long snapshot scan racing log
+//! truncation) leans on this property.
 //!
 //! Companion to the registry's own unit tests in `snapreg.rs`: those
 //! check the watermark arithmetic; these check the end-to-end promise
@@ -11,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Barrier;
 
-use polytm::{Semantics, Stm, StmConfig, TxParams};
+use polytm::{Semantics, Stm, TxParams};
 
 /// Iteration scaling via `POLYTM_STRESS_SCALE` (a percentage; the
 /// nightly job raises it).
@@ -33,15 +34,15 @@ fn threads() -> usize {
 }
 
 /// The unit case: one snapshot transaction registers its bound, then a
-/// writer commits far more versions than the retention floor while the
-/// snapshot is still live. The snapshot's re-read must return its
+/// writer commits two hundred versions while the snapshot is still
+/// live (an unregistered bound would lose its version to the first). The snapshot's re-read must return its
 /// original value on the *first attempt* — a retry would mean the
 /// registered bound lost a version to truncation.
 #[test]
-fn live_snapshot_bound_survives_churn_past_the_depth_floor() {
-    // The smallest retention floor the config allows: every surviving
-    // old version is the registry's doing, not the floor's.
-    let stm = Stm::with_config(StmConfig { history_depth: 1, ..StmConfig::default() });
+fn live_snapshot_bound_survives_churn_with_no_retention_floor() {
+    // Every surviving old version is the registry's doing: with no
+    // bound live a publish keeps the head only.
+    let stm = Stm::new();
     let var = stm.new_tvar(0u64);
     let start_churn = Barrier::new(2);
     let churn_done = Barrier::new(2);
@@ -83,14 +84,14 @@ fn live_snapshot_bound_survives_churn_past_the_depth_floor() {
 }
 
 /// The churn case (checkpoint-shaped): scanners repeatedly snapshot-sum
-/// a transfer-conserved array while writers churn every location far
-/// past the floor. Registered snapshots must never die unavailable, and
+/// a transfer-conserved array while writers churn every location.
+/// Registered snapshots must never die unavailable, and
 /// every cut must conserve the total.
 #[test]
 fn registered_snapshots_never_die_unavailable_under_churn() {
     const VARS: usize = 12;
     const INITIAL: i64 = 500;
-    let stm = Stm::with_config(StmConfig { history_depth: 1, ..StmConfig::default() });
+    let stm = Stm::new();
     let vars: Vec<_> = (0..VARS).map(|_| stm.new_tvar(INITIAL)).collect();
     let stop = AtomicBool::new(false);
     let expect = VARS as i64 * INITIAL;

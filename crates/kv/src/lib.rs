@@ -7,12 +7,13 @@
 //! workload class. This crate builds that store on the polymorphic STM
 //! and keeps the paper's thesis front and center: each operation kind
 //! runs under the weakest semantics that is *sound for its shape* —
-//! elastic probes for lookups, opaque probe-validated writes, snapshot
-//! scans — and the classed constructor hands each kind to the adaptive
-//! advisor as its own transaction class.
+//! elastic lookups, opaque fully-validated writes, snapshot scans — and
+//! the classed constructor hands each kind to the adaptive advisor as
+//! its own transaction class.
 //!
-//! * [`KvStore`] — N cache-padded shards, each an open-addressed slot
-//!   table of `TVar`-backed records; `get`/`put`/`delete`/`cas`/
+//! * [`KvStore`] — N cache-padded shards, each a hash-indexed table of
+//!   `TVar`-backed buckets (one register per bucket, records in an
+//!   immutable array behind it); `get`/`put`/`delete`/`cas`/
 //!   [`KvStore::modify`], snapshot [`KvStore::scan_range`]/
 //!   [`KvStore::scan_prefix`], batched [`KvStore::multi_put`] ingest,
 //!   and atomic multi-key cross-shard [`KvStore::txn`] blocks.

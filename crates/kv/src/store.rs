@@ -4,16 +4,22 @@
 //! ## Layout
 //!
 //! Keys hash to one of N **shards** (power of two, cache-padded so
-//! shard headers never false-share). Each shard owns an open-addressed
-//! **slot table** behind a `TVar<Table>`: a power-of-two array of
-//! `TVar<Slot>` registers probed linearly, where a full slot holds the
-//! key and a *per-record* `TVar<Value>`. Overwriting a record therefore
-//! writes one value register — it never touches the slot array, so hot
-//! updates conflict only with operations on the same key. Growing a
-//! shard swaps the whole table in one monomorphic transaction (the same
-//! move as `TxHashSet`'s transactional resize); record value registers
-//! are carried over by handle, so in-flight value updates commute with
-//! a concurrent resize.
+//! shard headers never false-share). Each shard owns a **bucket table**
+//! behind a `TVar<Table>`: a power-of-two array of `TVar<Bucket>`
+//! registers indexed by the key's hash, a bucket being an immutable
+//! array of the records that hash there. One register per bucket and
+//! nothing else per record: `get` reads the table register and one
+//! bucket and clones the value out; `put`/`delete` copy that one small
+//! array with the change applied and write it back. A bucket is never
+//! full, so there is no probing, no deleted marker and no growth inside
+//! a running transaction; a put that leaves 8 entries (`MAX_BUCKET`) asks
+//! for the shard to double after it commits (`resize_shard`).
+//!
+//! The conflict granule is the bucket: overwrites of different keys
+//! that share one conflict, and every write conflicts with a concurrent
+//! doubling of its shard. At about one record per bucket both are rare;
+//! DESIGN.md §7 has the measured abort ratio and what the per-record
+//! value register this replaced cost to avoid them.
 //!
 //! ## Cross-shard atomicity
 //!
@@ -27,15 +33,17 @@
 //!
 //! ## Per-operation semantics
 //!
-//! * `get` runs **elastic** (requested): a probe is a search traversal,
-//!   and cutting old probe reads behind the lookup is exactly the
-//!   paper's `weak` use case.
+//! * `get` runs **elastic** (requested): table register, then bucket,
+//!   is a (short) search traversal, and a bucket reached through a
+//!   since-replaced table is frozen at the doubling that replaced it —
+//!   a value the lookup may linearize at.
 //! * `put`/`delete`/`cas`/`modify`/`txn` run **opaque** (requested):
-//!   an insert's correctness depends on the *entire* probe chain it
-//!   examined (a cut probe read admits duplicate keys under
-//!   concurrency), so writers request the discipline that validates
-//!   every read. The classed constructors rely on the core's guarantee
-//!   that an advisor plan never weakens a requested discipline.
+//!   a bucket write is only sound against the table it was indexed
+//!   through (a cut table read would let a write land in a bucket a
+//!   concurrent doubling has already retired), so writers request the
+//!   discipline that validates every read. The classed constructors
+//!   rely on the core's guarantee that an advisor plan never weakens a
+//!   requested discipline.
 //! * scans run **snapshot** (requested): one consistent cut across
 //!   every shard, never aborting on read-write conflicts.
 
@@ -46,38 +54,28 @@ use polytm::{ClassId, CommitInfo, Semantics, Stm, TVar, Transaction, TxParams, T
 
 use crate::value::Value;
 
-/// Probe length at which a top-level write asks its shard to grow. The
-/// trigger is probe pressure, not an occupancy counter: a shared
-/// counter would serialize every insert in a shard, while probe length
-/// is observed for free by the operation that suffers it.
-const MAX_PROBE: usize = 8;
+/// Bucket length at which a write asks its shard to double. The trigger
+/// is the length the writing operation sees anyway, not an occupancy
+/// counter: a shared counter would serialize every insert in a shard.
+const MAX_BUCKET: usize = 8;
 
-/// One open-addressing slot. `Full` carries the record's value
-/// register; tombstones keep probe chains intact across deletes and
-/// are swept (and their slots reclaimed) by the next table swap.
-#[derive(Clone)]
-enum Slot {
-    Empty,
-    Tombstone,
-    Full(u64, TVar<Value>),
-}
+/// The records hashing to one bucket, as an immutable array replaced
+/// wholesale on every change; `None` is the empty bucket (no
+/// allocation behind an unused register).
+type Bucket = Option<Arc<[(u64, Value)]>>;
 
-/// A shard's slot table. Cloning shares the slot array (two words), so
-/// the `TVar<Table>` register swap that grows a shard stays inside the
-/// STM's inline write-payload budget.
+/// A shard's bucket table. Cloning shares the register array (two
+/// words), so the `TVar<Table>` swap that doubles a shard stays inside
+/// the STM's inline write-payload budget.
 #[derive(Clone)]
 struct Table {
-    slots: Arc<[TVar<Slot>]>,
+    buckets: Arc<[TVar<Bucket>]>,
 }
 
-// Slot swaps and table swaps are the store's hottest buffered writes;
-// both must take the descriptor's allocation-free inline path.
-const _: () = assert!(polytm::write_payload_fits_inline::<Slot>());
+// Bucket writes and table swaps are the store's hottest buffered
+// writes; both must take the descriptor's allocation-free inline path.
+const _: () = assert!(polytm::write_payload_fits_inline::<Bucket>());
 const _: () = assert!(polytm::write_payload_fits_inline::<Table>());
-
-struct Shard {
-    table: TVar<Table>,
-}
 
 /// `start(p)` parameters per operation kind. The defaults encode the
 /// soundness analysis in the module docs; the classed constructor tags
@@ -86,7 +84,7 @@ struct Shard {
 pub struct KvParams {
     /// Point lookups (`get`/`contains`).
     pub read: TxParams,
-    /// Slot-writing operations (`put`/`delete`/batched ingest).
+    /// Bucket-writing operations (`put`/`delete`/batched ingest).
     pub update: TxParams,
     /// Read-modify-writes (`cas`/`modify`).
     pub rmw: TxParams,
@@ -117,7 +115,7 @@ impl KvParams {
     /// advisor installed on the store's STM. Reads may be reclassified
     /// toward snapshot by feedback; writers request opaque, which a
     /// plan may escalate but — by the core's plan guardrails — never
-    /// weaken below the probe-validating discipline they need.
+    /// weaken below the every-read-validating discipline they need.
     pub fn classed(base: u16) -> Self {
         let fixed = Self::fixed();
         Self {
@@ -135,8 +133,8 @@ impl KvParams {
 pub struct KvConfig {
     /// Shard count (power of two, at most 128).
     pub shards: usize,
-    /// Initial slots per shard (power of two, at least 8); shards grow
-    /// by doubling under probe pressure.
+    /// Initial buckets per shard (power of two, at least 8); shards
+    /// grow by doubling when a bucket gets long.
     pub initial_slots: usize,
     /// Per-operation `start(p)` parameters.
     pub params: KvParams,
@@ -148,16 +146,15 @@ impl Default for KvConfig {
     }
 }
 
-/// Outcome of one raw slot-writing probe.
+/// Outcome of one raw bucket-writing upsert.
 struct PutRaw {
     prev: Option<Value>,
-    /// The probe ran long: ask for a table swap after commit.
-    grow: bool,
-    /// Length of the table the probe ran against — the maintenance
-    /// request's witness: a post-commit resize that finds the table
+    /// Set when the bucket got long: ask for a doubling after commit.
+    /// Carries the length of the table the write was indexed through —
+    /// the request's witness: a post-commit resize that finds the table
     /// already swapped to a different length knows the pressure event
     /// was handled and stands down.
-    table_len: usize,
+    grow: Option<usize>,
 }
 
 /// Post-commit maintenance requests gathered during a transaction:
@@ -198,7 +195,8 @@ impl GrowSet {
 #[derive(Clone)]
 pub struct KvStore {
     stm: Arc<Stm>,
-    shards: Arc<[CachePadded<Shard>]>,
+    /// One table register per shard.
+    shards: Arc<[CachePadded<TVar<Table>>]>,
     params: KvParams,
 }
 
@@ -222,8 +220,8 @@ impl KvStore {
     /// # Panics
     /// Panics on a non-power-of-two or oversized shard count, an
     /// invalid initial table size, or writer params whose semantics
-    /// cannot validate a whole probe chain (read-only, or elastic —
-    /// a cut probe read admits duplicate inserts; writers must request
+    /// do not validate every read (read-only, or elastic — a cut table
+    /// read lets a write land in a retired bucket; writers must request
     /// [`Semantics::Opaque`] or [`Semantics::Irrevocable`]).
     pub fn with_config(stm: Arc<Stm>, config: KvConfig) -> Self {
         assert!(
@@ -244,17 +242,13 @@ impl KvStore {
             assert!(
                 matches!(params.semantics, Semantics::Opaque | Semantics::Irrevocable),
                 "{label} params must request opaque or irrevocable semantics \
-                 (got {:?}): slot writes are only sound when the whole probe \
-                 chain is validated",
+                 (got {:?}): bucket writes are only sound when the table read \
+                 they were indexed through is validated",
                 params.semantics
             );
         }
-        let shards: Arc<[CachePadded<Shard>]> = (0..config.shards)
-            .map(|_| {
-                CachePadded::new(Shard {
-                    table: stm.new_tvar(fresh_table(&stm, config.initial_slots)),
-                })
-            })
+        let shards = (0..config.shards)
+            .map(|_| CachePadded::new(stm.new_tvar(fresh_table(&stm, config.initial_slots))))
             .collect();
         Self { stm, shards, params: config.params }
     }
@@ -269,12 +263,13 @@ impl KvStore {
         self.shards.len()
     }
 
-    /// Total slot capacity across shards (snapshot read; a diagnostic).
+    /// Total bucket registers across shards (snapshot read; a
+    /// diagnostic).
     pub fn capacity(&self) -> usize {
         self.stm.run(self.params.scan, |tx| {
             let mut total = 0;
             for shard in self.shards.iter() {
-                total += shard.table.read(tx)?.slots.len();
+                total += shard.read(tx)?.buckets.len();
             }
             Ok(total)
         })
@@ -294,21 +289,18 @@ impl KvStore {
     // Transaction-composable operations
     // ------------------------------------------------------------------
 
+    /// The shard table `key` lives in and the index of its bucket there.
+    fn locate(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<(Table, usize)> {
+        let table = self.shards[self.shard_of(key)].read(tx)?;
+        let at = Self::slot_start(key) & (table.buckets.len() - 1);
+        Ok((table, at))
+    }
+
     /// Composable point lookup.
     pub fn get_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<Value>> {
-        let table = self.shards[self.shard_of(key)].table.read(tx)?;
-        let mask = table.slots.len() - 1;
-        let mut i = Self::slot_start(key) & mask;
-        for _ in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => return Ok(None),
-                Slot::Tombstone => {}
-                Slot::Full(k, var) if k == key => return Ok(Some(var.read(tx)?)),
-                Slot::Full(..) => {}
-            }
-            i = (i + 1) & mask;
-        }
-        Ok(None)
+        let (table, at) = self.locate(tx, key)?;
+        let bucket = table.buckets[at].read(tx)?;
+        Ok(entries(&bucket).iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()))
     }
 
     /// Composable membership test.
@@ -316,106 +308,30 @@ impl KvStore {
         Ok(self.get_in(tx, key)?.is_some())
     }
 
-    /// Raw slot-writing upsert. Never grows the table itself (a resize
-    /// must be its own transaction); reports probe pressure instead.
+    /// Raw bucket-writing upsert. Never grows the table itself (a
+    /// doubling must be its own transaction); reports a long bucket
+    /// instead.
     fn put_raw(&self, tx: &mut Transaction<'_>, key: u64, value: Value) -> TxResult<PutRaw> {
-        let table = self.shards[self.shard_of(key)].table.read(tx)?;
-        let mask = table.slots.len() - 1;
-        let mut i = Self::slot_start(key) & mask;
-        let mut first_tomb: Option<usize> = None;
-        for probed in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => {
-                    // Reuse the earliest tombstone on the chain, else
-                    // claim this empty slot.
-                    let target = first_tomb.unwrap_or(i);
-                    table.slots[target].write(tx, Slot::Full(key, self.stm.new_tvar(value)))?;
-                    return Ok(PutRaw {
-                        prev: None,
-                        grow: probed + 1 >= MAX_PROBE,
-                        table_len: table.slots.len(),
-                    });
-                }
-                Slot::Tombstone => {
-                    if first_tomb.is_none() {
-                        first_tomb = Some(i);
-                    }
-                }
-                Slot::Full(k, var) if k == key => {
-                    let prev = var.replace(tx, value)?;
-                    return Ok(PutRaw {
-                        prev: Some(prev),
-                        grow: probed + 1 >= MAX_PROBE,
-                        table_len: table.slots.len(),
-                    });
-                }
-                Slot::Full(..) => {}
+        let (table, at) = self.locate(tx, key)?;
+        let old = table.buckets[at].read(tx)?;
+        let old = entries(&old);
+        // Either way the new array is one allocation, filled in place.
+        let (prev, new): (_, Arc<[(u64, Value)]>) = match old.iter().position(|(k, _)| *k == key) {
+            Some(hit) => {
+                let mut new: Arc<[(u64, Value)]> = old.into();
+                let slot = &mut Arc::get_mut(&mut new).expect("just built, not yet shared")[hit].1;
+                (Some(std::mem::replace(slot, value)), new)
             }
-            i = (i + 1) & mask;
-        }
-        // The probe wrapped: no empty slot left. A tombstone can still
-        // absorb the insert (and the shard then wants a post-commit
-        // sweep); otherwise the table is genuinely full — grow it
-        // *inside this transaction* (sound: the swap is just more reads
-        // and writes in the same atomic step; the probe above already
-        // read every slot, so the rebuild re-reads only read-set hits)
-        // and place the key in the doubled table. The in-transaction
-        // grow already relieved the pressure, so it must not *also*
-        // request a post-commit resize (that would double the fresh,
-        // tombstone-free table a second time).
-        if let Some(target) = first_tomb {
-            table.slots[target].write(tx, Slot::Full(key, self.stm.new_tvar(value)))?;
-            Ok(PutRaw { prev: None, grow: true, table_len: table.slots.len() })
-        } else {
-            self.grow_in_tx(tx, self.shard_of(key), &table, key, value)?;
-            Ok(PutRaw { prev: None, grow: false, table_len: table.slots.len() })
-        }
+            None => (None, old.iter().cloned().chain(std::iter::once((key, value))).collect()),
+        };
+        let grow = (new.len() >= MAX_BUCKET).then_some(table.buckets.len());
+        table.buckets[at].write(tx, Some(new))?;
+        Ok(PutRaw { prev, grow })
     }
 
-    /// Double a full shard table within the caller's transaction and
-    /// place `key` in the rebuilt table. Only reached when every slot
-    /// is `Full` (tombstones would have absorbed the insert), so `live`
-    /// is the whole slot array.
-    fn grow_in_tx(
-        &self,
-        tx: &mut Transaction<'_>,
-        si: usize,
-        table: &Table,
-        key: u64,
-        value: Value,
-    ) -> TxResult<()> {
-        let mut live = Vec::with_capacity(table.slots.len() + 1);
-        for slot in table.slots.iter() {
-            if let Slot::Full(k, var) = slot.read(tx)? {
-                live.push((k, var));
-            }
-        }
-        live.push((key, self.stm.new_tvar(value)));
-        let fresh = self.build_table(live, table.slots.len() * 2);
-        self.shards[si].table.write(tx, fresh)
-    }
-
-    /// Build a fresh table of `new_len` slots (power of two) holding
-    /// `live`, placed by the store's probe policy — the single
-    /// placement routine behind both the in-transaction grow path and
-    /// the post-commit maintenance resize.
-    fn build_table(&self, live: Vec<(u64, TVar<Value>)>, new_len: usize) -> Table {
-        let mask = new_len - 1;
-        let mut slots: Vec<Slot> = vec![Slot::Empty; new_len];
-        for (k, var) in live {
-            let mut i = Self::slot_start(k) & mask;
-            while !matches!(slots[i], Slot::Empty) {
-                i = (i + 1) & mask;
-            }
-            slots[i] = Slot::Full(k, var);
-        }
-        Table { slots: slots.into_iter().map(|s| self.stm.new_tvar(s)).collect() }
-    }
-
-    /// Composable upsert; returns the previous value. A completely full
-    /// shard table grows inside the enclosing transaction; long-probe
-    /// growth maintenance otherwise runs after the enclosing top-level
-    /// operation commits (see [`KvStore::txn`]).
+    /// Composable upsert; returns the previous value. Growth
+    /// maintenance for a bucket this leaves long runs after the
+    /// enclosing top-level operation commits (see [`KvStore::txn`]).
     pub fn put_in(
         &self,
         tx: &mut Transaction<'_>,
@@ -425,46 +341,55 @@ impl KvStore {
         Ok(self.put_raw(tx, key, value)?.prev)
     }
 
-    /// Composable delete; returns the removed value.
+    /// Composable delete; returns the removed value. Deleting a
+    /// bucket's last record leaves the register empty (`None`).
     pub fn delete_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<Value>> {
-        let table = self.shards[self.shard_of(key)].table.read(tx)?;
-        let mask = table.slots.len() - 1;
-        let mut i = Self::slot_start(key) & mask;
-        for _ in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => return Ok(None),
-                Slot::Tombstone => {}
-                Slot::Full(k, var) if k == key => {
-                    let prev = var.read(tx)?;
-                    table.slots[i].write(tx, Slot::Tombstone)?;
-                    return Ok(Some(prev));
-                }
-                Slot::Full(..) => {}
-            }
-            i = (i + 1) & mask;
-        }
-        Ok(None)
+        let (table, at) = self.locate(tx, key)?;
+        let old = table.buckets[at].read(tx)?;
+        let old = entries(&old);
+        let Some(hit) = old.iter().position(|(k, _)| *k == key) else {
+            return Ok(None);
+        };
+        // Exact-size iterator: the shorter array is one allocation.
+        let rest =
+            (old.len() > 1).then(|| old[..hit].iter().chain(&old[hit + 1..]).cloned().collect());
+        table.buckets[at].write(tx, rest)?;
+        Ok(Some(old[hit].1.clone()))
     }
 
-    /// Composable count over the *inclusive* span `[lo, hi_incl]` —
-    /// the internal span form, so `u64::MAX` keys are countable.
-    fn count_span_in(&self, tx: &mut Transaction<'_>, lo: u64, hi_incl: u64) -> TxResult<usize> {
-        let mut n = 0;
+    /// Visit every record in the *inclusive* span `[lo, hi_incl]` — the
+    /// internal span form, so `u64::MAX` keys are reachable — in table
+    /// order.
+    fn for_each_in_span(
+        &self,
+        tx: &mut Transaction<'_>,
+        lo: u64,
+        hi_incl: u64,
+        mut visit: impl FnMut(u64, &Value),
+    ) -> TxResult<()> {
         for shard in self.shards.iter() {
-            let table = shard.table.read(tx)?;
-            for slot in table.slots.iter() {
-                if let Slot::Full(k, _) = slot.read(tx)? {
-                    if lo <= k && k <= hi_incl {
-                        n += 1;
+            let table = shard.read(tx)?;
+            for register in table.buckets.iter() {
+                let bucket = register.read(tx)?;
+                for (k, v) in entries(&bucket) {
+                    if lo <= *k && *k <= hi_incl {
+                        visit(*k, v);
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Composable count over the *inclusive* span `[lo, hi_incl]`.
+    fn count_span_in(&self, tx: &mut Transaction<'_>, lo: u64, hi_incl: u64) -> TxResult<usize> {
+        let mut n = 0;
+        self.for_each_in_span(tx, lo, hi_incl, |_, _| n += 1)?;
         Ok(n)
     }
 
     /// Composable scan over the *inclusive* span `[lo, hi_incl]`,
-    /// sorted by key (see [`KvStore::count_span_in`]).
+    /// sorted by key.
     fn collect_span_in(
         &self,
         tx: &mut Transaction<'_>,
@@ -472,16 +397,7 @@ impl KvStore {
         hi_incl: u64,
     ) -> TxResult<Vec<(u64, Value)>> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let table = shard.table.read(tx)?;
-            for slot in table.slots.iter() {
-                if let Slot::Full(k, var) = slot.read(tx)? {
-                    if lo <= k && k <= hi_incl {
-                        out.push((k, var.read(tx)?));
-                    }
-                }
-            }
-        }
+        self.for_each_in_span(tx, lo, hi_incl, |k, v| out.push((k, v.clone())))?;
         out.sort_unstable_by_key(|&(k, _)| k);
         Ok(out)
     }
@@ -521,13 +437,13 @@ impl KvStore {
         self.get(key).is_some()
     }
 
-    /// Insert-or-overwrite; returns the previous value. Grows the
+    /// Insert-or-overwrite; returns the previous value. Doubles the
     /// shard's table (its own transaction, after this one commits) when
-    /// the probe ran long.
+    /// the bucket got long.
     pub fn put(&self, key: u64, value: Value) -> Option<Value> {
         let raw = self.stm.run(self.params.update, |tx| self.put_raw(tx, key, value.clone()));
-        if raw.grow {
-            self.resize_shard(self.shard_of(key), raw.table_len);
+        if let Some(observed_len) = raw.grow {
+            self.resize_shard(self.shard_of(key), observed_len);
         }
         raw.prev
     }
@@ -548,7 +464,7 @@ impl KvStore {
                 return Ok((false, None));
             }
             let raw = self.put_raw(tx, key, new.clone())?;
-            Ok((true, raw.grow.then_some(raw.table_len)))
+            Ok((true, raw.grow))
         });
         if let Some(observed_len) = grow {
             self.resize_shard(self.shard_of(key), observed_len);
@@ -564,17 +480,17 @@ impl KvStore {
             let next = f(cur.as_ref());
             self.put_raw(tx, key, next)
         });
-        if raw.grow {
-            self.resize_shard(self.shard_of(key), raw.table_len);
+        if let Some(observed_len) = raw.grow {
+            self.resize_shard(self.shard_of(key), observed_len);
         }
         raw.prev
     }
 
     /// Batched multi-put: every entry installed in **one** transaction
     /// (all-or-nothing, whatever shards the keys span). Entries are
-    /// applied in key order for a deterministic probe pattern; commit
-    /// acquires the touched slot locks in global address order like any
-    /// other transaction. The write-heavy-ingest fast path: one commit
+    /// applied in key order for a deterministic write pattern; commit
+    /// acquires the touched bucket locks in global address order like
+    /// any other transaction. The write-heavy-ingest fast path: one commit
     /// (one clock advance, one validation) amortized over the batch.
     ///
     /// **Duplicate keys are last-write-wins**: when `entries` carries a
@@ -593,8 +509,8 @@ impl KvStore {
             let mut requests = GrowSet::default();
             for (key, value) in &sorted {
                 let raw = self.put_raw(tx, *key, value.clone())?;
-                if raw.grow {
-                    requests.note(self.shard_of(*key), raw.table_len);
+                if let Some(observed_len) = raw.grow {
+                    requests.note(self.shard_of(*key), observed_len);
                 }
             }
             Ok(requests)
@@ -605,8 +521,8 @@ impl KvStore {
     /// Run a multi-key atomic transaction against the store. The
     /// closure may touch any number of keys on any shards; it re-runs
     /// on conflict like any STM transaction, and its effects commit
-    /// atomically. Shards whose probes ran long during the committed
-    /// attempt are grown afterwards.
+    /// atomically. Shards in which the committed attempt left a long
+    /// bucket are doubled afterwards.
     pub fn txn<T>(&self, mut f: impl FnMut(&mut KvTxn<'_, '_>) -> TxResult<T>) -> T {
         let (value, requests) = self.stm.run(self.params.txn, |tx| {
             let mut view = KvTxn { store: self, tx, grow: GrowSet::default() };
@@ -625,7 +541,7 @@ impl KvStore {
     /// sequence number is what the write-ahead log's `wait_durable`
     /// takes. Growth maintenance runs after the commit, exactly as in
     /// [`KvStore::txn`] (maintenance transactions stage no redo — a
-    /// table swap moves records by handle and changes no value, so
+    /// doubling redistributes records and changes no value, so
     /// recovery rebuilds tables from scratch instead of replaying
     /// them).
     pub fn txn_logged<T>(
@@ -692,54 +608,73 @@ impl KvStore {
         }
     }
 
-    /// Swap shard `si`'s table for a fresh one in one monomorphic
-    /// transaction. `observed_len` is the table length the requesting
-    /// operation probed against: several operations can request
-    /// maintenance for the same pressure event, the requests serialize
-    /// here, and any request that finds the table already swapped to a
-    /// different length stands down — the event was handled (this is
-    /// what keeps stacked requests from doubling a shard repeatedly).
-    /// A live request sweeps tombstones at the same size when they
-    /// dominate (>= 1/8 of slots with occupancy < 25%) and doubles
-    /// otherwise — a long probe chain at any occupancy is only
-    /// dispersed by rehashing into a bigger table. (A same-size sweep
-    /// leaves the length unchanged, so one sibling request may still
-    /// run and double; growth per event is bounded by that one
-    /// doubling.) Record value registers move by handle, so concurrent
-    /// value overwrites commute with the swap; slot-writing operations
-    /// conflict with it through the table register and validate/retry
-    /// as usual.
+    /// Double shard `si`'s table in one monomorphic transaction:
+    /// bucket *i* splits into *i* and *i + len* by the hash bit the
+    /// longer mask newly exposes. `observed_len` is the table length
+    /// the requesting operation wrote through: requests for one
+    /// pressure event serialize here, and one that finds the table
+    /// already swapped to a different length stands down (this is what
+    /// keeps stacked requests from doubling a shard repeatedly). So
+    /// does one that counts fewer than one record per four registers:
+    /// a bucket long at that load holds keys that agree on every hash
+    /// bit a table indexes by, which no doubling separates, so the
+    /// store accepts the long bucket instead of doubling without bound.
+    /// Reading every bucket makes the doubling conflict with every
+    /// concurrent write to the shard; the loser re-runs.
     fn resize_shard(&self, si: usize, observed_len: usize) {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let table = self.shards[si].table.read(tx)?;
-            let len = table.slots.len();
+            let table = self.shards[si].read(tx)?;
+            let len = table.buckets.len();
             if len != observed_len {
                 return Ok(()); // already swapped: the pressure event was handled
             }
-            let mut live: Vec<(u64, TVar<Value>)> = Vec::new();
-            let mut tombs = 0usize;
-            for slot in table.slots.iter() {
-                match slot.read(tx)? {
-                    Slot::Empty => {}
-                    Slot::Tombstone => tombs += 1,
-                    Slot::Full(k, var) => live.push((k, var)),
-                }
+            let mut halves: Vec<Bucket> = vec![None; len * 2];
+            let mut records = 0usize;
+            for (i, register) in table.buckets.iter().enumerate() {
+                let bucket = register.read(tx)?;
+                records += entries(&bucket).len();
+                let (low, high) = split(bucket, len);
+                halves[i] = low;
+                halves[i + len] = high;
             }
-            let new_len = if tombs >= len / 8 && live.len() * 4 < len { len } else { len * 2 };
-            let fresh = self.build_table(live, new_len);
-            self.shards[si].table.write(tx, fresh)?;
-            Ok(())
+            if records * 4 < len {
+                return Ok(()); // inseparable keys: accept the long bucket
+            }
+            let buckets = halves.into_iter().map(|b| self.stm.new_tvar(b)).collect();
+            self.shards[si].write(tx, Table { buckets })
         })
     }
 }
 
-fn fresh_table(stm: &Stm, slots: usize) -> Table {
-    Table { slots: (0..slots).map(|_| stm.new_tvar(Slot::Empty)).collect() }
+fn fresh_table(stm: &Stm, buckets: usize) -> Table {
+    Table { buckets: (0..buckets).map(|_| stm.new_tvar(None)).collect() }
+}
+
+/// The records of a bucket (none for the empty bucket).
+fn entries(bucket: &Bucket) -> &[(u64, Value)] {
+    bucket.as_deref().unwrap_or(&[])
+}
+
+/// Split a bucket of a `len`-register table into the two buckets that
+/// replace it in the doubled table: records whose hash has bit `len`
+/// clear stay at the old index, the rest move `len` up. A bucket that
+/// lands whole on one side keeps its array (shared by handle).
+fn split(bucket: Bucket, len: usize) -> (Bucket, Bucket) {
+    let moves_up = |e: &(u64, Value)| KvStore::slot_start(e.0) & len != 0;
+    let all = entries(&bucket);
+    match all.iter().filter(|e| moves_up(e)).count() {
+        0 => (bucket, None),
+        n if n == all.len() => (None, bucket),
+        _ => {
+            let (high, low): (Vec<_>, Vec<_>) = all.iter().cloned().partition(moves_up);
+            (Some(low.into()), Some(high.into()))
+        }
+    }
 }
 
 /// The store view handed to a [`KvStore::txn`] closure: the same
 /// composable operations, plus growth-request bookkeeping so long
-/// probes inside the transaction still trigger maintenance after it
+/// buckets inside the transaction still trigger maintenance after it
 /// commits.
 pub struct KvTxn<'s, 'tx> {
     store: &'s KvStore,
@@ -761,8 +696,8 @@ impl<'tx> KvTxn<'_, 'tx> {
     /// Insert-or-overwrite; returns the previous value.
     pub fn put(&mut self, key: u64, value: Value) -> TxResult<Option<Value>> {
         let raw = self.store.put_raw(self.tx, key, value)?;
-        if raw.grow {
-            self.grow.note(self.store.shard_of(key), raw.table_len);
+        if let Some(observed_len) = raw.grow {
+            self.grow.note(self.store.shard_of(key), observed_len);
         }
         Ok(raw.prev)
     }
@@ -813,45 +748,105 @@ mod tests {
 
     #[test]
     fn grows_under_load_and_keeps_every_record() {
-        let store = small_store(); // 4 shards x 8 slots = 32 to start
-        for k in 0..500u64 {
+        let store = small_store(); // 4 shards x 8 buckets = 32 to start
+        const RECORDS: usize = 10_000;
+        for k in 0..RECORDS as u64 {
             assert_eq!(store.put(k, Value::from_u64(k * 2)), None, "key {k}");
         }
-        assert!(store.capacity() >= 500, "tables must have grown: {}", store.capacity());
-        // Growth must be proportionate: stacked maintenance requests
-        // for one pressure event stand down instead of doubling again.
-        assert!(
-            store.capacity() <= 500 * 8,
-            "growth amplification: capacity {} for 500 records",
-            store.capacity()
-        );
-        for k in 0..500u64 {
+        // Growth is bounded both ways: buckets stay short, and stacked
+        // maintenance requests for one pressure event stand down
+        // instead of doubling again.
+        let capacity = store.capacity();
+        assert!(capacity >= RECORDS / MAX_BUCKET, "buckets longer than the trigger: {capacity}");
+        assert!(capacity <= 2 * RECORDS, "growth amplification: {capacity} registers");
+        for k in 0..RECORDS as u64 {
             assert_eq!(store.get(k), Some(Value::from_u64(k * 2)), "key {k}");
         }
-        assert_eq!(store.len(), 500);
+        assert_eq!(store.len(), RECORDS);
     }
 
     #[test]
-    fn deletes_tombstone_and_reinserts_reuse_slots() {
+    fn deleting_a_buckets_last_record_empties_its_register() {
         let store = small_store();
-        for k in 0..64u64 {
+        let before = store.capacity();
+        // 10^5 insert/delete cycles over the same few keys.
+        for cycle in 0..100_000u64 {
+            let k = cycle % 16;
+            assert_eq!(store.put(k, Value::from_u64(cycle)), None);
+            assert_eq!(store.delete(k), Some(Value::from_u64(cycle)));
+        }
+        assert!(store.is_empty());
+        assert_eq!(store.capacity(), before, "deletes leave nothing behind to grow on");
+        // No deleted marker, no zero-length array: every register is
+        // back to the state a fresh table starts in.
+        store.stm().run(TxParams::new(Semantics::Snapshot), |tx| {
+            for shard in store.shards.iter() {
+                for register in shard.read(tx)?.buckets.iter() {
+                    assert!(register.read(tx)?.is_none());
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// The key `mix` sends to `hash`: both xor-shifts are involutions
+    /// and both multipliers are odd, so each step inverts exactly.
+    fn unmix(hash: u64) -> u64 {
+        const INV_SECOND: u64 = 0xCFEE_444D_8B59_A89B; // of 0xD6E8_FEB8_6659_FD93
+        const INV_FIRST: u64 = 0xF1DE_83E1_9937_733D; // of 0x9E37_79B9_7F4A_7C15
+        let mut h = hash;
+        h ^= h >> 32;
+        h = h.wrapping_mul(INV_SECOND);
+        h ^= h >> 32;
+        h.wrapping_mul(INV_FIRST)
+    }
+
+    /// Keys that agree on every bit a table can index by cannot be
+    /// separated by doubling: the store accepts the long bucket rather
+    /// than doubling the shard on every further put.
+    #[test]
+    fn inseparable_keys_share_a_long_bucket_without_unbounded_doubling() {
+        let store = small_store();
+        for k in 0..1_000u64 {
             store.put(k, Value::from_u64(k));
         }
-        for k in (0..64u64).step_by(2) {
-            assert!(store.delete(k).is_some());
+        let before = store.capacity();
+        // Same shard (low bits), same bucket at any table length (all 48
+        // bits from bit 16 up); only the bits in between differ.
+        let colliding: Vec<u64> = (0..64u64).map(|j| unmix((0xC0FFEE << 16) | (j << 7))).collect();
+        for (j, key) in colliding.iter().enumerate() {
+            assert_eq!(mix(*key), (0xC0FFEE << 16) | ((j as u64) << 7), "unmix must invert mix");
+            assert_eq!(store.put(*key, Value::from_u64(j as u64)), None);
         }
-        assert_eq!(store.len(), 32);
-        // Reinsert over the tombstones, plus fresh keys.
-        for k in (0..64u64).step_by(2) {
-            assert_eq!(store.put(k, Value::from_u64(k + 1000)), None);
+        // Overwriting a long bucket asks for growth again, every time.
+        for (j, key) in colliding.iter().enumerate() {
+            assert_eq!(store.put(*key, Value::from_u64(j as u64 + 100)), Some((j as u64).into()));
         }
-        for k in 64..96u64 {
-            store.put(k, Value::from_u64(k));
+        for (j, key) in colliding.iter().enumerate() {
+            assert_eq!(store.get(*key), Some(Value::from_u64(j as u64 + 100)));
         }
-        for k in 0..96u64 {
-            assert!(store.contains(k), "key {k}");
-        }
-        assert_eq!(store.len(), 96);
+        assert_eq!(store.len(), 1_064);
+        let after = store.capacity();
+        assert!(after <= 4 * before, "unbounded doubling: {before} -> {after} registers");
+    }
+
+    #[test]
+    fn txn_duplicate_keys_resolve_to_the_last_write() {
+        let store = small_store();
+        store.put(5, Value::from_u64(0));
+        let seen = store.txn(|kv| {
+            kv.put(5, Value::from_u64(1))?;
+            kv.put(9, Value::from_u64(7))?;
+            kv.delete(5)?;
+            kv.put(5, Value::from_u64(2))?;
+            let mid = kv.get(5)?;
+            kv.put(5, Value::from_u64(3))?;
+            Ok(mid)
+        });
+        assert_eq!(seen, Some(Value::from_u64(2)));
+        assert_eq!(store.get(5), Some(Value::from_u64(3)));
+        assert_eq!(store.get(9), Some(Value::from_u64(7)));
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
