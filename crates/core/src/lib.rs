@@ -99,7 +99,7 @@ pub use stats::{StatsSnapshot, StmStats};
 pub use stm::{Stm, StmConfig, TxParams};
 pub use tarray::TArray;
 pub use trace::{TraceEvent, TraceSink};
-pub use tvar::{TVar, TxValue};
+pub use tvar::{PeekGuard, TVar, TxValue};
 pub use txdesc::INLINE_WRITE_WORDS;
 pub use txn::Transaction;
 

@@ -19,6 +19,19 @@ pub trait TxValue: Clone + Send + Sync + 'static {}
 
 impl<T: Clone + Send + Sync + 'static> TxValue for T {}
 
+/// An epoch pin for [`TVar::peek`]: references peeked under it stay valid
+/// until it drops. Pinning costs what beginning a reading transaction
+/// costs, so take one guard for a batch of peeks, and drop it promptly —
+/// while it lives, no version node anywhere is reclaimed.
+pub struct PeekGuard(epoch::Guard);
+
+impl PeekGuard {
+    /// Pin the current thread.
+    pub fn pin() -> Self {
+        PeekGuard(epoch::pin())
+    }
+}
+
 /// A shared register accessed through transactions — the paper's shared
 /// memory "partitioned into shared registers, supporting atomic
 /// reads/writes, and metadata used for synchronization".
@@ -99,6 +112,16 @@ impl<T: TxValue> TVar<T> {
                 }
             }
         }
+    }
+
+    /// Hint-grade look at the newest committed value, by reference: no
+    /// transaction, no clone, no read set, no statistics. The value is
+    /// one some commit published, but the caller learns neither its
+    /// version nor whether it is still current, so it may only be used
+    /// where a stale or soon-stale answer is harmless — touching memory
+    /// ahead of a real read (`KvStore::warm`), never producing a result.
+    pub fn peek<'g>(&'g self, guard: &'g PeekGuard) -> &'g T {
+        self.core.peek(&guard.0)
     }
 
     /// The version (commit timestamp) of the latest committed value.

@@ -136,6 +136,24 @@ impl<T: TxValue> VarCore<T> {
         }
     }
 
+    /// The newest committed value, by reference, for as long as `guard`
+    /// stays pinned: one Acquire load of the head and nothing else — no
+    /// lock-word double-check (a head pointer is only ever stored after
+    /// its node is complete, so whatever the load returns is a value
+    /// some commit published), no clone, no version. Hint-grade: the
+    /// caller learns neither when the value was current nor whether it
+    /// still is. The borrow of `self` is part of the result's lifetime
+    /// because dropping the location frees its chain without waiting
+    /// for pins.
+    pub(crate) fn peek<'g>(&'g self, guard: &'g Guard) -> &'g T {
+        let head = self.head.load(Ordering::Acquire, guard);
+        // SAFETY: as in `read_committed` — `head` was read under
+        // `guard`, is never null, and while the location lives a node
+        // is freed only by deferred destruction after it was unlinked,
+        // so the reference is valid for the lifetime of the pin.
+        &unsafe { head.deref() }.value
+    }
+
     /// Multi-version read: newest committed version with
     /// `version <= bound`, walking the history chain. Returns `None` when
     /// the history has been truncated past `bound`.

@@ -399,6 +399,12 @@ impl DurableKv {
         self.store.contains(key)
     }
 
+    /// Hint that `keys` are about to be read ([`KvStore::warm`]); like
+    /// the reads it serves, it never touches the log.
+    pub fn warm(&self, keys: &[u64]) {
+        self.store.warm(keys);
+    }
+
     /// Snapshot range scan over `[lo, hi)`.
     pub fn scan_range(&self, lo: u64, hi: u64) -> Vec<(u64, Value)> {
         self.store.scan_range(lo, hi)

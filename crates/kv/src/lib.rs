@@ -16,7 +16,9 @@
 //!   immutable array behind it); `get`/`put`/`delete`/`cas`/
 //!   [`KvStore::modify`], snapshot [`KvStore::scan_range`]/
 //!   [`KvStore::scan_prefix`], batched [`KvStore::multi_put`] ingest,
-//!   and atomic multi-key cross-shard [`KvStore::txn`] blocks.
+//!   atomic multi-key cross-shard [`KvStore::txn`] blocks, and
+//!   [`KvStore::warm`], a cache hint for a batch of upcoming point
+//!   reads.
 //! * [`Value`] — the record payload: inline up to 14 bytes,
 //!   `Arc`-shared beyond, so every transactional write of a value —
 //!   whatever the record size — stays inside the STM's 3-word inline

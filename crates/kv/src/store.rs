@@ -50,7 +50,9 @@
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
-use polytm::{ClassId, CommitInfo, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use polytm::{
+    ClassId, CommitInfo, PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult,
+};
 
 use crate::value::Value;
 
@@ -58,6 +60,12 @@ use crate::value::Value;
 /// is the length the writing operation sees anyway, not an occupancy
 /// counter: a shared counter would serialize every insert in a shard.
 const MAX_BUCKET: usize = 8;
+
+/// Keys [`KvStore::warm`] walks side by side: enough independent misses
+/// to fill a core's outstanding-load slots, few enough that the lines
+/// the early stages fetched are still in L1 when the later ones use
+/// them.
+const WARM_CHUNK: usize = 16;
 
 /// The records hashing to one bucket, as an immutable array replaced
 /// wholesale on every change; `None` is the empty bucket (no
@@ -70,6 +78,14 @@ type Bucket = Option<Arc<[(u64, Value)]>>;
 #[derive(Clone)]
 struct Table {
     buckets: Arc<[TVar<Bucket>]>,
+}
+
+impl Table {
+    /// Index of the bucket register `key` hashes to.
+    #[inline]
+    fn index_of(&self, key: u64) -> usize {
+        KvStore::slot_start(key) & (self.buckets.len() - 1)
+    }
 }
 
 // Bucket writes and table swaps are the store's hottest buffered
@@ -292,7 +308,7 @@ impl KvStore {
     /// The shard table `key` lives in and the index of its bucket there.
     fn locate(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<(Table, usize)> {
         let table = self.shards[self.shard_of(key)].read(tx)?;
-        let at = Self::slot_start(key) & (table.buckets.len() - 1);
+        let at = table.index_of(key);
         Ok((table, at))
     }
 
@@ -300,7 +316,7 @@ impl KvStore {
     pub fn get_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<Value>> {
         let (table, at) = self.locate(tx, key)?;
         let bucket = table.buckets[at].read(tx)?;
-        Ok(entries(&bucket).iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone()))
+        Ok(find(entries(&bucket), key).cloned())
     }
 
     /// Composable membership test.
@@ -435,6 +451,47 @@ impl KvStore {
     /// Membership test.
     pub fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
+    }
+
+    /// Hint that `keys` are about to be read: pull the cache lines a
+    /// [`KvStore::get`] of each walks towards the core, and do nothing
+    /// else — no transaction, no commit, no statistics, nothing
+    /// returned. A `get` chases five dependent lines (bucket slot →
+    /// register → version node → bucket array → value bytes), each a
+    /// miss on a working set beyond cache; back-to-back `get`s pay the
+    /// chains one after another. Here the keys go 16 (`WARM_CHUNK`) at a
+    /// time and *stage by stage*, so the misses of one stage are
+    /// independent loads the core overlaps.
+    ///
+    /// One epoch pin covers the whole call: a pin is a sequentially
+    /// consistent fence, and one per key would serialize exactly the
+    /// misses this exists to overlap. What a stage sees may be stale by
+    /// the time the real read runs (a concurrent put, delete or
+    /// doubling); the real read then misses as it would have, and its
+    /// answer comes from its own transaction either way.
+    pub fn warm(&self, keys: &[u64]) {
+        let guard = PeekGuard::pin();
+        for chunk in keys.chunks(WARM_CHUNK) {
+            // Table registers are few and stay cached; the bucket slot
+            // is the first line that is not.
+            let mut slots: [Option<&TVar<Bucket>>; WARM_CHUNK] = [None; WARM_CHUNK];
+            for (slot, &key) in slots.iter_mut().zip(chunk) {
+                let table = self.shards[self.shard_of(key)].peek(&guard);
+                *slot = Some(&table.buckets[table.index_of(key)]);
+            }
+            let mut buckets: [&[(u64, Value)]; WARM_CHUNK] = [&[]; WARM_CHUNK];
+            for (bucket, slot) in buckets.iter_mut().zip(slots.iter().flatten()) {
+                *bucket = entries(slot.peek(&guard));
+            }
+            let mut values: [Option<&Value>; WARM_CHUNK] = [None; WARM_CHUNK];
+            for ((value, bucket), &key) in values.iter_mut().zip(buckets).zip(chunk) {
+                *value = find(bucket, key);
+            }
+            // A shared payload's allocation can straddle two lines.
+            for bytes in values.iter().flatten().map(|v| v.as_bytes()) {
+                std::hint::black_box((bytes.first(), bytes.last()));
+            }
+        }
     }
 
     /// Insert-or-overwrite; returns the previous value. Doubles the
@@ -653,6 +710,11 @@ fn fresh_table(stm: &Stm, buckets: usize) -> Table {
 /// The records of a bucket (none for the empty bucket).
 fn entries(bucket: &Bucket) -> &[(u64, Value)] {
     bucket.as_deref().unwrap_or(&[])
+}
+
+/// The value `key` holds in `records`, if it is there.
+fn find(records: &[(u64, Value)], key: u64) -> Option<&Value> {
+    records.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 /// Split a bucket of a `len`-register table into the two buckets that

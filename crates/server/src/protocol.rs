@@ -33,6 +33,9 @@ pub const FLAG_CRC: u8 = 0x01;
 /// Upper bound on a frame's payload. A `len` implying more is treated
 /// as corruption.
 pub const MAX_PAYLOAD: usize = 1 << 20;
+/// Longest response frame a server sends; a longer one becomes an
+/// [`ErrorCode::TooLarge`] error.
+pub const MAX_RESPONSE_FRAME: usize = MAX_PAYLOAD + 64;
 
 /// Request opcodes. Response frames echo the request opcode with the
 /// high bit set ([`RESPONSE_BIT`]); error responses use [`OP_ERROR`].
@@ -313,21 +316,37 @@ pub enum FrameEvent<'a> {
     Corrupt(Corrupt),
 }
 
-/// Encode one frame. `crc` appends and flags a CRC-32 trailer.
-pub fn encode_frame(opcode: u8, seq: u32, payload: &[u8], crc: bool) -> Vec<u8> {
-    let flags = if crc { FLAG_CRC } else { 0 };
-    let body_len = BODY_PREFIX + payload.len() + if crc { 4 } else { 0 };
-    let mut out = Vec::with_capacity(HEADER + body_len);
+/// Append one frame to `out`, its payload written in place by `fill`;
+/// the length (which the payload decides) is patched in afterwards and
+/// the CRC computed over the finished body. Returns the frame's length.
+/// The one encoder: every `encode_*` below frames through here.
+fn frame_into(
+    out: &mut Vec<u8>,
+    opcode: u8,
+    seq: u32,
+    crc: bool,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = out.len();
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
     out.push(opcode);
-    out.push(flags);
+    out.push(if crc { FLAG_CRC } else { 0 });
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
+    fill(out);
     if crc {
-        let sum = crc32(&out[HEADER..]);
+        let sum = crc32(&out[start + HEADER..]);
         out.extend_from_slice(&sum.to_le_bytes());
     }
+    let body_len = out.len() - start - HEADER;
+    out[start + 4..start + HEADER].copy_from_slice(&(body_len as u32).to_le_bytes());
+    out.len() - start
+}
+
+/// Encode one frame. `crc` appends and flags a CRC-32 trailer.
+pub fn encode_frame(opcode: u8, seq: u32, payload: &[u8], crc: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER + BODY_PREFIX + payload.len() + 4);
+    frame_into(&mut out, opcode, seq, crc, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -603,6 +622,11 @@ pub fn encode_request(req: &Request, seq: u32, crc: bool) -> Vec<u8> {
 /// Encode a response's payload under its (request) opcode pairing.
 pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    response_payload_into(&mut out, resp);
+    out
+}
+
+fn response_payload_into(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Pong => {}
         Response::Value(v) => match v {
@@ -642,13 +666,37 @@ pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
         Response::Stats { payload } => out.extend_from_slice(payload),
         Response::Error(code) => out.push(*code as u8),
     }
-    out
 }
 
-/// Encode a whole response frame answering a request with opcode
-/// `request_op` and sequence `seq`.
+/// Append to `out` the whole response frame answering a request with
+/// opcode `request_op` and sequence `seq`, built in place (a server
+/// passes its connection's output buffer); returns the frame's length.
+/// A response too large for a frame a peer would accept is demoted to
+/// [`ErrorCode::TooLarge`]: `out` is cut back to where the frame began,
+/// so no partial frame stays behind, and the error is framed instead.
+pub fn encode_response_into(
+    out: &mut Vec<u8>,
+    resp: &Response,
+    request_op: u8,
+    seq: u32,
+    crc: bool,
+) -> usize {
+    let start = out.len();
+    let len =
+        frame_into(out, resp.opcode(request_op), seq, crc, |out| response_payload_into(out, resp));
+    if len <= MAX_RESPONSE_FRAME {
+        return len;
+    }
+    out.truncate(start);
+    frame_into(out, OP_ERROR, seq, crc, |out| out.push(ErrorCode::TooLarge as u8))
+}
+
+/// Encode a whole response frame ([`encode_response_into`] on a fresh
+/// buffer).
 pub fn encode_response(resp: &Response, request_op: u8, seq: u32, crc: bool) -> Vec<u8> {
-    encode_frame(resp.opcode(request_op), seq, &encode_response_payload(resp), crc)
+    let mut out = Vec::new();
+    encode_response_into(&mut out, resp, request_op, seq, crc);
+    out
 }
 
 /// Parse a response payload. `opcode` is the *response* frame opcode.
@@ -792,6 +840,66 @@ mod tests {
                     other => panic!("expected frame, got {other:?}"),
                 }
             }
+        }
+    }
+
+    /// The framing `encode_frame` did before frames were built in
+    /// place, over a finished payload: the reference the in-place
+    /// encoder must match byte for byte.
+    fn reference_frame(opcode: u8, seq: u32, payload: &[u8], crc: bool) -> Vec<u8> {
+        let body_len = BODY_PREFIX + payload.len() + if crc { 4 } else { 0 };
+        let mut out = MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&(body_len as u32).to_le_bytes());
+        out.push(opcode);
+        out.push(if crc { FLAG_CRC } else { 0 });
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(payload);
+        if crc {
+            let sum = crc32(&out[HEADER..]);
+            out.extend_from_slice(&sum.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_response_frames_match_the_reference_encoder() {
+        for crc in [false, true] {
+            // One buffer for all of them, as a connection's is: every
+            // frame lands behind the ones before it and disturbs none.
+            let mut out = b"unflushed".to_vec();
+            let mut want = out.clone();
+            for (i, (req_op, resp)) in sample_responses().into_iter().enumerate() {
+                let seq = 7 + i as u32;
+                let frame =
+                    reference_frame(resp.opcode(req_op), seq, &encode_response_payload(&resp), crc);
+                assert_eq!(encode_response_into(&mut out, &resp, req_op, seq, crc), frame.len());
+                assert_eq!(encode_response(&resp, req_op, seq, crc), frame, "{resp:?}");
+                want.extend_from_slice(&frame);
+                assert_eq!(out, want, "{resp:?}, crc {crc}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_response_is_demoted_leaving_no_partial_frame() {
+        let too_large = Response::Value(Some(vec![0xAB; MAX_RESPONSE_FRAME]));
+        for crc in [false, true] {
+            let mut out = encode_response(&Response::Pong, op::PING, 1, crc);
+            let before = out.clone();
+            let len = encode_response_into(&mut out, &too_large, op::GET, 2, crc);
+            let error = reference_frame(OP_ERROR, 2, &[ErrorCode::TooLarge as u8], crc);
+            assert_eq!(len, error.len());
+            assert_eq!(out, [before, error].concat(), "only the error frame follows the pong");
+            // The largest response that still fits goes out as itself.
+            let fits = Response::Stats {
+                payload: vec![1; MAX_RESPONSE_FRAME - HEADER - BODY_PREFIX - 4 * usize::from(crc)],
+            };
+            out.clear();
+            assert_eq!(
+                encode_response_into(&mut out, &fits, op::STATS, 3, crc),
+                MAX_RESPONSE_FRAME
+            );
+            assert_eq!(out[HEADER], op::STATS | RESPONSE_BIT);
         }
     }
 

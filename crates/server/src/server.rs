@@ -6,11 +6,15 @@
 //! One acceptor thread polls the listener and deals fresh connections
 //! round-robin onto worker inboxes. Each worker owns its connections
 //! outright — no cross-thread handoff after accept — and runs a sweep
-//! loop: poll readiness, read, decode, execute, flush.
+//! loop: poll readiness, read, decode, hint, execute, flush.
 //!
 //! ## Batching / admission
 //!
-//! Everything decodable after one read sweep forms the *batch window*.
+//! Everything decodable after one read sweep forms the *batch window*:
+//! all of it is decoded first, the store is told which keys the
+//! window's `GET`s will read ([`crate::store::ServerStore::warm`], so
+//! their cache misses overlap instead of queueing behind one another),
+//! and only then do the requests run, in order.
 //! Within the window, consecutive write requests (`PUT`, `DELETE`,
 //! `MULTI`) are admitted into a pending run and committed as **one**
 //! STM transaction ([`crate::store::ServerStore::commit_writes`]),
@@ -43,8 +47,7 @@ use polytm_obs::{encode_entries, MetricsRegistry, MetricsSource};
 
 use crate::poll::{Interest, Poller, READ, WRITE};
 use crate::protocol::{
-    decode_frame, encode_response, parse_request, ErrorCode, FrameEvent, Request, Response,
-    MAX_PAYLOAD,
+    decode_frame, encode_response_into, parse_request, ErrorCode, FrameEvent, Request, Response,
 };
 use crate::store::{BatchTag, ServerStore, StoreError, WriteReply, WriteRequest};
 
@@ -113,6 +116,11 @@ pub struct ServerStats {
     pub corrupt_conns: AtomicU64,
     /// Error responses due to the store latching read-only.
     pub read_only_errors: AtomicU64,
+    /// `GET` keys handed to [`ServerStore::warm`] ahead of execution
+    /// (bumped once per batch window; a window holding a single `GET`
+    /// hints nothing). `hinted_keys / requests` says whether clients
+    /// pipeline deeply enough for the hint to act.
+    pub hinted_keys: AtomicU64,
 }
 
 impl ServerStats {
@@ -145,6 +153,7 @@ impl MetricsSource for ServerStats {
         push("backpressure_stalled_ns", self.backpressure_stalled_ns.load(Ordering::Relaxed));
         push("corrupt_conns", self.corrupt_conns.load(Ordering::Relaxed));
         push("read_only_errors", self.read_only_errors.load(Ordering::Relaxed));
+        push("hinted_keys", self.hinted_keys.load(Ordering::Relaxed));
         out.push(("batch_ops_per_commit".to_string(), self.batch_ops_per_commit()));
     }
 }
@@ -344,6 +353,36 @@ impl Conn {
 /// Bytes read per connection per sweep; bounds the batch window.
 const READ_CHUNK: usize = 64 << 10;
 
+/// One complete frame of a batch window, decoded and parsed.
+struct Decoded {
+    opcode: u8,
+    seq: u32,
+    payload_len: usize,
+    parsed: Result<Request, ErrorCode>,
+}
+
+/// The pending coalesced run: admitted write requests, and beside them
+/// the wire identity `(opcode, seq)` needed to answer each one.
+#[derive(Default)]
+struct Run {
+    writes: Vec<WriteRequest>,
+    ids: Vec<(u8, u32)>,
+    /// Payload bytes admitted so far.
+    bytes: usize,
+}
+
+/// A worker's buffers for the batch window in hand, kept between
+/// windows so a steady stream of them allocates nothing here. Each
+/// holds at most what one window's bytes decode to, and a window is
+/// bounded by [`READ_CHUNK`] and the frame cap.
+#[derive(Default)]
+struct Window {
+    frames: Vec<Decoded>,
+    /// Keys of the window's `GET`s, in request order.
+    get_keys: Vec<u64>,
+    run: Run,
+}
+
 fn worker_loop(
     inbox: Arc<Mutex<Vec<TcpStream>>>,
     store: Arc<dyn ServerStore>,
@@ -355,6 +394,7 @@ fn worker_loop(
     let poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    let mut window = Window::default();
 
     while !stop.load(Ordering::Acquire) {
         conns.extend(inbox.lock().unwrap().drain(..).map(Conn::new));
@@ -399,7 +439,7 @@ fn worker_loop(
         for (conn, ready) in conns.iter_mut().zip(ready) {
             if ready & READ != 0 && !conn.read_eof && !conn.dead {
                 progressed |= fill(conn, &mut scratch, &stats);
-                process(conn, store.as_ref(), &config, &stats, registry.as_deref());
+                process(conn, &mut window, store.as_ref(), &config, &stats, registry.as_deref());
                 if conn.read_eof && !conn.in_buf.is_empty() {
                     // Half-closed with a partial frame: those bytes can
                     // never complete, so drop them and let the
@@ -434,35 +474,41 @@ fn worker_loop(
     stats.closed.fetch_add(conns.len() as u64, Ordering::Relaxed);
 }
 
-/// Read until `WouldBlock`, EOF, or the sweep cap; returns whether any
-/// bytes arrived.
+/// One read per sweep, into a buffer the size of the sweep cap;
+/// returns whether any bytes arrived. A read that comes back short took
+/// everything the socket held, so asking again would only be told
+/// `WouldBlock`; after a full one the cap is reached. Either way what is
+/// left, or arrives later, raises the (level-triggered) READ readiness
+/// again, and that is also how EOF is seen once the bytes ahead of it
+/// are read.
 fn fill(conn: &mut Conn, scratch: &mut [u8], stats: &ServerStats) -> bool {
-    let mut total = 0usize;
-    while total < READ_CHUNK {
+    let got = loop {
         match conn.stream.read(scratch) {
             Ok(0) => {
                 conn.read_eof = true;
-                break;
+                break 0;
             }
             Ok(n) => {
                 conn.in_buf.extend_from_slice(&scratch[..n]);
-                total += n;
+                break n;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
-                break;
+                break 0;
             }
         }
-    }
-    stats.bytes_in.fetch_add(total as u64, Ordering::Relaxed);
-    total > 0
+    };
+    stats.bytes_in.fetch_add(got as u64, Ordering::Relaxed);
+    got > 0
 }
 
-/// Decode and execute everything in `conn.in_buf` — one batch window.
+/// Decode, hint, then execute everything in `conn.in_buf` — one batch
+/// window.
 fn process(
     conn: &mut Conn,
+    window: &mut Window,
     store: &dyn ServerStore,
     config: &ServerConfig,
     stats: &ServerStats,
@@ -471,101 +517,96 @@ fn process(
     // One stamp per batch window: request spans measure from here
     // (the flight recorder's `total_ns` origin).
     let sweep_start = std::time::Instant::now();
-    // The pending coalesced run: admitted write requests plus the
-    // wire identity needed to answer each one.
-    let mut run: Vec<(u8, u32, WriteRequest)> = Vec::new();
-    let mut run_bytes = 0usize;
-    let mut cursor = 0usize;
+    let Window { frames, get_keys, run } = window;
 
+    // Decode: every complete frame is framed, CRC-checked and parsed
+    // exactly once, before any of them runs.
+    let mut cursor = 0usize;
+    let mut corrupt = false;
     loop {
-        let event = decode_frame(&conn.in_buf[cursor..]);
-        match event {
+        match decode_frame(&conn.in_buf[cursor..]) {
             FrameEvent::Incomplete { .. } => break,
             FrameEvent::Corrupt(_) => {
-                stats.corrupt_conns.fetch_add(1, Ordering::Relaxed);
-                conn.dead = true;
+                corrupt = true;
                 break;
             }
             FrameEvent::Frame { consumed, opcode, seq, payload } => {
-                stats.requests.fetch_add(1, Ordering::Relaxed);
+                cursor += consumed;
                 let parsed = parse_request(opcode, payload);
-                let payload_len = payload.len();
-                // The request span opens here: everything the request
-                // waits on from now until its `REQ_DONE` lands on this
-                // worker's ring, in program order, between the two.
+                if let Ok(Request::Get { key }) = parsed {
+                    get_keys.push(key);
+                }
+                frames.push(Decoded { opcode, seq, payload_len: payload.len(), parsed });
+            }
+        }
+    }
+    conn.in_buf.drain(..cursor);
+    stats.requests.fetch_add(frames.len() as u64, Ordering::Relaxed);
+
+    // Hint: the window's GETs will each miss cache along the same
+    // dependent chain, one after another. Telling the store all their
+    // keys first lets it overlap those misses. A hint answers nothing —
+    // every reply below still comes from its own `get`, in its place in
+    // the request order — and a lone GET has nothing to overlap with.
+    if get_keys.len() >= 2 {
+        store.warm(get_keys);
+        stats.hinted_keys.fetch_add(get_keys.len() as u64, Ordering::Relaxed);
+    }
+    get_keys.clear();
+
+    // Execute: the admission state machine, over parsed requests.
+    for Decoded { opcode, seq, payload_len, parsed } in frames.drain(..) {
+        // The request span opens here: everything the request
+        // waits on from now until its `REQ_DONE` lands on this
+        // worker's ring, in program order, between the two.
+        trace::emit(|| {
+            TraceEvent::new(
+                trace::code::REQ_RECV,
+                opcode,
+                trace::NO_CLASS,
+                seq,
+                conn.id,
+                payload_len as u64,
+            )
+        });
+        match parsed.map(admit) {
+            Err(code) => {
+                commit_run(conn, store, run, config, stats, sweep_start);
+                respond(conn, opcode, seq, &Response::Error(code), config, stats);
+            }
+            Ok(Admitted::Write(w)) => {
+                run.writes.push(w);
+                run.ids.push((opcode, seq));
+                run.bytes += payload_len;
                 trace::emit(|| {
                     TraceEvent::new(
-                        trace::code::REQ_RECV,
+                        trace::code::BATCH_ENQUEUE,
                         opcode,
                         trace::NO_CLASS,
                         seq,
                         conn.id,
-                        payload_len as u64,
+                        run.writes.len() as u64,
                     )
                 });
-                cursor += consumed;
-                match parsed {
-                    Err(code) => {
-                        commit_run(
-                            conn,
-                            store,
-                            &mut run,
-                            &mut run_bytes,
-                            config,
-                            stats,
-                            sweep_start,
-                        );
-                        respond(conn, opcode, seq, &Response::Error(code), config, stats);
-                    }
-                    Ok(req) => match admit(req) {
-                        Admitted::Write(w) => {
-                            run.push((opcode, seq, w));
-                            run_bytes += payload_len;
-                            trace::emit(|| {
-                                TraceEvent::new(
-                                    trace::code::BATCH_ENQUEUE,
-                                    opcode,
-                                    trace::NO_CLASS,
-                                    seq,
-                                    conn.id,
-                                    run.len() as u64,
-                                )
-                            });
-                            if run.len() >= config.batch_max_ops
-                                || run_bytes >= config.batch_max_bytes
-                            {
-                                commit_run(
-                                    conn,
-                                    store,
-                                    &mut run,
-                                    &mut run_bytes,
-                                    config,
-                                    stats,
-                                    sweep_start,
-                                );
-                            }
-                        }
-                        Admitted::Barrier(req) => {
-                            commit_run(
-                                conn,
-                                store,
-                                &mut run,
-                                &mut run_bytes,
-                                config,
-                                stats,
-                                sweep_start,
-                            );
-                            let resp = execute_barrier(store, &req, config, stats, registry);
-                            respond(conn, opcode, seq, &resp, config, stats);
-                        }
-                    },
+                if run.writes.len() >= config.batch_max_ops || run.bytes >= config.batch_max_bytes {
+                    commit_run(conn, store, run, config, stats, sweep_start);
                 }
+            }
+            Ok(Admitted::Barrier(req)) => {
+                commit_run(conn, store, run, config, stats, sweep_start);
+                let resp = execute_barrier(store, &req, config, stats, registry);
+                respond(conn, opcode, seq, &resp, config, stats);
             }
         }
     }
     // End of the batch window: whatever is still pending commits now.
-    commit_run(conn, store, &mut run, &mut run_bytes, config, stats, sweep_start);
-    conn.in_buf.drain(..cursor);
+    commit_run(conn, store, run, config, stats, sweep_start);
+    if corrupt {
+        // Everything framed ahead of the corruption was answered; the
+        // stream itself cannot be resynchronised.
+        stats.corrupt_conns.fetch_add(1, Ordering::Relaxed);
+        conn.dead = true;
+    }
 }
 
 enum Admitted {
@@ -587,33 +628,28 @@ fn admit(req: Request) -> Admitted {
 fn commit_run(
     conn: &mut Conn,
     store: &dyn ServerStore,
-    run: &mut Vec<(u8, u32, WriteRequest)>,
-    run_bytes: &mut usize,
+    run: &mut Run,
     config: &ServerConfig,
     stats: &ServerStats,
     sweep_start: std::time::Instant,
 ) {
-    if run.is_empty() {
+    let (Some(&(_, first_seq)), Some(&(_, last_seq))) = (run.ids.first(), run.ids.last()) else {
         return;
-    }
-    let batch_bytes = *run_bytes as u64;
-    *run_bytes = 0;
-    let tag = BatchTag {
-        conn: conn.id,
-        first_seq: run.first().map_or(0, |(_, seq, _)| *seq),
-        last_seq: run.last().map_or(0, |(_, seq, _)| *seq),
     };
-    let batch: Vec<WriteRequest> = run.iter().map(|(_, _, w)| w.clone()).collect();
+    let batch_bytes = std::mem::take(&mut run.bytes) as u64;
+    let tag = BatchTag { conn: conn.id, first_seq, last_seq };
     // Time the commit only when a flight recorder is installed: until
     // then this is one atomic load per batch, no clock reads.
     let flight = polytm_obs::flight::get();
     let commit_start = flight.map(|_| std::time::Instant::now());
-    match store.commit_writes(&batch, tag) {
+    let outcome = store.commit_writes(&run.writes, tag);
+    run.writes.clear();
+    match outcome {
         Ok(replies) => {
             let commit_ns = commit_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
             stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.batched_ops.fetch_add(run.len() as u64, Ordering::Relaxed);
-            let ops = run.len().min(u32::MAX as usize) as u32;
+            stats.batched_ops.fetch_add(run.ids.len() as u64, Ordering::Relaxed);
+            let ops = run.ids.len().min(u32::MAX as usize) as u32;
             trace::emit(|| {
                 TraceEvent::new(
                     trace::code::SERVER_BATCH,
@@ -624,7 +660,7 @@ fn commit_run(
                     batch_bytes,
                 )
             });
-            for ((opcode, seq, _), reply) in run.drain(..).zip(replies) {
+            for ((opcode, seq), reply) in run.ids.drain(..).zip(replies) {
                 let resp = match reply {
                     WriteReply::Written { existed } => Response::Written { existed },
                     WriteReply::Deleted { existed } => Response::Deleted { existed },
@@ -637,8 +673,8 @@ fn commit_run(
                 if total_ns >= recorder.threshold_ns() {
                     recorder.record(polytm_obs::SlowSpan {
                         conn: conn.id,
-                        first_seq: tag.first_seq,
-                        last_seq: tag.last_seq,
+                        first_seq,
+                        last_seq,
                         ops,
                         total_ns,
                         commit_ns,
@@ -647,7 +683,7 @@ fn commit_run(
             }
         }
         Err(StoreError::ReadOnly) => {
-            for (opcode, seq, _) in run.drain(..) {
+            for (opcode, seq) in run.ids.drain(..) {
                 stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
                 respond(conn, opcode, seq, &Response::Error(ErrorCode::ReadOnly), config, stats);
             }
@@ -714,8 +750,9 @@ fn execute_barrier(
     }
 }
 
-/// Encode a response into the connection's output buffer, demoting
-/// over-cap payloads to `TooLarge`.
+/// Frame a response straight into the connection's output buffer
+/// (over-cap payloads go out as `TooLarge`, see
+/// [`encode_response_into`]).
 fn respond(
     conn: &mut Conn,
     request_op: u8,
@@ -724,12 +761,8 @@ fn respond(
     config: &ServerConfig,
     stats: &ServerStats,
 ) {
-    let mut wire = encode_response(resp, request_op, seq, config.crc);
-    if wire.len() > MAX_PAYLOAD + 64 {
-        wire = encode_response(&Response::Error(ErrorCode::TooLarge), request_op, seq, config.crc);
-    }
+    let wire_len = encode_response_into(&mut conn.out_buf, resp, request_op, seq, config.crc);
     stats.responses.fetch_add(1, Ordering::Relaxed);
-    conn.out_buf.extend_from_slice(&wire);
     // The request span closes here: the response is encoded and
     // buffered (kernel flush time is the NET_STALL event's business,
     // not the request's).
@@ -740,7 +773,7 @@ fn respond(
             trace::NO_CLASS,
             seq,
             conn.id,
-            wire.len() as u64,
+            wire_len as u64,
         )
     });
 }

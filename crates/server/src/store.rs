@@ -135,6 +135,12 @@ pub trait ServerStore: Send + Sync {
     fn is_read_only(&self) -> bool {
         false
     }
+    /// Hint: each of `keys` is about to be passed to
+    /// [`ServerStore::get`]. An implementation may use it to bring
+    /// those records' memory closer, and for nothing a caller could
+    /// observe — every answer still comes from the `get` that follows.
+    /// The default does nothing, which is always correct.
+    fn warm(&self, _keys: &[u64]) {}
 }
 
 fn to_bytes(v: Value) -> Vec<u8> {
@@ -200,6 +206,10 @@ impl ServerStore for KvStore {
         });
         emit_batch_commit(tag, batch.len());
         Ok(replies)
+    }
+
+    fn warm(&self, keys: &[u64]) {
+        KvStore::warm(self, keys);
     }
 
     fn txn(&self, ops: &[TxnOp]) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
@@ -308,6 +318,10 @@ impl ServerStore for DurableKv {
 
     fn is_read_only(&self) -> bool {
         DurableKv::is_read_only(self)
+    }
+
+    fn warm(&self, keys: &[u64]) {
+        DurableKv::warm(self, keys);
     }
 }
 

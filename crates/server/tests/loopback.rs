@@ -5,6 +5,8 @@
 //! per-connection response order always matches request order.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +14,10 @@ use std::time::{Duration, Instant};
 use polytm::Stm;
 use polytm_durable::{DurableKv, DurableKvConfig, FaultFs, RealFs, Storage};
 use polytm_kv::{KvStore, Value};
-use polytm_server::protocol::{ErrorCode, Request, Response, TxnOp, WriteOp};
+use polytm_server::protocol::{
+    decode_frame, encode_request, parse_response, ErrorCode, FrameEvent, Request, Response, TxnOp,
+    WriteOp,
+};
 use polytm_server::{Client, Server, ServerConfig, ServerStore};
 
 /// Temp dir that cleans up after itself.
@@ -519,6 +524,7 @@ fn stats_opcode_snapshots_the_metrics_plane() {
     );
     assert!(get("server.requests").unwrap_or(0.0) >= 32.0);
     assert!(get("server.batches").unwrap_or(0.0) >= 1.0);
+    assert_eq!(get("server.hinted_keys"), Some(0.0), "one PUT per window: nothing to hint");
     assert!(
         entries.windows(2).all(|w| w[0].0 <= w[1].0),
         "binary snapshot entries arrive sorted by key"
@@ -541,5 +547,127 @@ fn stats_without_a_registry_is_empty_not_an_error() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
     assert!(client.stats().unwrap().is_empty());
     assert!(client.stats_text().unwrap().is_empty());
+    handle.shutdown();
+}
+
+/// Send `requests` as one write on a fresh connection — so the server
+/// meets them in one read, as one batch window — and collect the
+/// replies in arrival order, checking each carries its request's
+/// sequence number.
+fn one_window(addr: SocketAddr, requests: &[Request], crc: bool) -> Vec<Response> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let wire: Vec<u8> = requests
+        .iter()
+        .enumerate()
+        .flat_map(|(i, req)| encode_request(req, i as u32 + 1, crc))
+        .collect();
+    stream.write_all(&wire).unwrap();
+
+    let (mut buf, mut replies) = (Vec::new(), Vec::new());
+    while replies.len() < requests.len() {
+        match decode_frame(&buf) {
+            FrameEvent::Frame { consumed, opcode, seq, payload } => {
+                assert_eq!(seq as usize, replies.len() + 1, "replies arrive in request order");
+                replies.push(parse_response(opcode, payload).unwrap());
+                buf.drain(..consumed);
+            }
+            FrameEvent::Incomplete { .. } => {
+                let mut chunk = [0u8; 4096];
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "server hung up after {} replies", replies.len());
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            FrameEvent::Corrupt(why) => panic!("corrupt reply stream: {why:?}"),
+        }
+    }
+    replies
+}
+
+/// The hint must be invisible. Every GET of a window is hinted before
+/// any request of the window runs, so what the hint saw of key `k` is
+/// the value from before the window's PUT and DELETE of `k`. Each GET
+/// must still answer from its own place in the request order; a server
+/// that ever served what the hint saw would answer `v1 · v1 · v1` here.
+#[test]
+fn hinted_gets_answer_from_their_place_in_the_request_order() {
+    const KEYS: u64 = 16;
+    for crc in [false, true] {
+        let store = Arc::new(KvStore::new(Arc::new(Stm::new())));
+        let config = ServerConfig { workers: 1, crc, ..ServerConfig::default() };
+        let handle =
+            Server::spawn(Arc::clone(&store) as Arc<dyn ServerStore>, "127.0.0.1:0", config)
+                .unwrap();
+        let (v1, v2) = (|k: u64| format!("v1-of-{k}").into_bytes(), |k: u64| vec![k as u8; 64]);
+        for k in 0..KEYS {
+            store.put(k, Value::from_bytes(&v1(k)));
+        }
+
+        let window: Vec<Request> = (0..KEYS)
+            .flat_map(|key| {
+                [
+                    Request::Get { key },
+                    Request::Put { key, value: v2(key) },
+                    Request::Get { key },
+                    Request::Delete { key },
+                    Request::Get { key },
+                ]
+            })
+            .collect();
+        let replies = one_window(handle.local_addr(), &window, crc);
+        for (key, of_key) in replies.chunks(5).enumerate() {
+            let key = key as u64;
+            let want = [
+                Response::Value(Some(v1(key))),
+                Response::Written { existed: true },
+                Response::Value(Some(v2(key))),
+                Response::Deleted { existed: true },
+                Response::Value(None),
+            ];
+            assert_eq!(of_key, want, "key {key}, crc {crc}");
+        }
+        assert!(store.is_empty());
+        // The test means something only if the hint ran: all three GETs
+        // of every key, in the one window the single write made.
+        assert_eq!(handle.stats().hinted_keys.load(Ordering::Relaxed), 3 * KEYS);
+        handle.shutdown();
+    }
+}
+
+/// A window of nothing but GETs — the shape the hint exists for — with
+/// repeated keys and keys that were never written: more keys than one
+/// hinting chunk, every reply the record or its absence.
+#[test]
+fn a_window_of_gets_with_duplicates_and_absent_keys() {
+    let store = Arc::new(KvStore::new(Arc::new(Stm::new())));
+    let handle = Server::spawn(
+        Arc::clone(&store) as Arc<dyn ServerStore>,
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let record = |k: u64| [k.to_le_bytes(), (!k).to_le_bytes()].concat().repeat(4);
+    for k in (0..40u64).filter(|k| k % 3 != 0) {
+        store.put(k, Value::from_bytes(&record(k)));
+    }
+
+    // 64 GETs over 40 keys: each of 0..24 twice, a third of them absent.
+    let keys: Vec<u64> = (0..64u64).map(|i| i % 40).collect();
+    let window: Vec<Request> = keys.iter().map(|&key| Request::Get { key }).collect();
+    let replies = one_window(handle.local_addr(), &window, false);
+    for (&key, reply) in keys.iter().zip(&replies) {
+        let want = (key % 3 != 0).then(|| record(key));
+        assert_eq!(*reply, Response::Value(want), "key {key}");
+    }
+    let stats = handle.stats();
+    assert_eq!(stats.hinted_keys.load(Ordering::Relaxed), 64);
+
+    // One request per window, the open-loop shape: nothing to overlap,
+    // so nothing is hinted.
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for key in 0..8u64 {
+        assert_eq!(client.get(key).unwrap(), (key % 3 != 0).then(|| record(key)));
+    }
+    assert_eq!(stats.hinted_keys.load(Ordering::Relaxed), 64);
     handle.shutdown();
 }
