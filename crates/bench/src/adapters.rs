@@ -3,15 +3,12 @@
 //! registries the scenario matrix sweeps.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use polytm::{ClassId, Semantics, Stm, StmConfig, TxParams};
 use polytm_adaptive::Advisor;
 use polytm_durable::{Durability, DurableKv, DurableKvConfig, RealFs, WalConfig};
 use polytm_kv::{KvConfig, KvParams, KvStore, Value};
-use polytm_lockfree::{MichaelHashSet, SplitOrderedSet};
-use polytm_locks::{HandOverHandList, StripedHashSet};
 use polytm_structures::{TxHashSet, TxList, TxSkipList};
 use polytm_workload::{ConcurrentSet, KvTable, RangeSet};
 
@@ -250,50 +247,8 @@ impl RangeSet for AdaptiveHashSet {
 }
 
 // ---------------------------------------------------------------------
-// Lock-based structures
+// Lock-based control
 // ---------------------------------------------------------------------
-
-/// Hand-over-hand list adapter.
-pub struct HohSet(pub HandOverHandList);
-
-impl ConcurrentSet for HohSet {
-    fn contains(&self, key: u64) -> bool {
-        self.0.contains(key as i64)
-    }
-    fn insert(&self, key: u64) -> bool {
-        self.0.insert(key as i64)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(key as i64)
-    }
-}
-
-impl RangeSet for HohSet {
-    fn range_count(&self, lo: u64, hi: u64) -> usize {
-        self.0.range_count(lo as i64, hi as i64)
-    }
-}
-
-/// Striped-lock hash adapter.
-pub struct StripedSet(pub StripedHashSet);
-
-impl ConcurrentSet for StripedSet {
-    fn contains(&self, key: u64) -> bool {
-        self.0.contains(key)
-    }
-    fn insert(&self, key: u64) -> bool {
-        self.0.insert(key)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(key)
-    }
-}
-
-impl RangeSet for StripedSet {
-    fn range_count(&self, lo: u64, hi: u64) -> usize {
-        self.0.range_count(lo, hi)
-    }
-}
 
 /// Coarse global-lock set: the "one big lock" floor every comparison
 /// should clear.
@@ -301,13 +256,13 @@ pub struct GlobalLockSet(pub Mutex<BTreeSet<u64>>);
 
 impl ConcurrentSet for GlobalLockSet {
     fn contains(&self, key: u64) -> bool {
-        self.0.lock().contains(&key)
+        self.0.lock().unwrap().contains(&key)
     }
     fn insert(&self, key: u64) -> bool {
-        self.0.lock().insert(key)
+        self.0.lock().unwrap().insert(key)
     }
     fn remove(&self, key: u64) -> bool {
-        self.0.lock().remove(&key)
+        self.0.lock().unwrap().remove(&key)
     }
 }
 
@@ -316,68 +271,7 @@ impl RangeSet for GlobalLockSet {
         if lo >= hi {
             return 0;
         }
-        self.0.lock().range(lo..hi).count()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lock-free structures
-// ---------------------------------------------------------------------
-
-/// Harris–Michael list adapter.
-pub struct LockFreeListSet(pub polytm_lockfree::LockFreeList);
-
-impl ConcurrentSet for LockFreeListSet {
-    fn contains(&self, key: u64) -> bool {
-        self.0.contains(key)
-    }
-    fn insert(&self, key: u64) -> bool {
-        self.0.insert(key)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(key)
-    }
-}
-
-impl RangeSet for LockFreeListSet {
-    fn range_count(&self, lo: u64, hi: u64) -> usize {
-        self.0.range_count(lo, hi)
-    }
-}
-
-/// Michael hash-table adapter.
-pub struct MichaelSet(pub MichaelHashSet);
-
-impl ConcurrentSet for MichaelSet {
-    fn contains(&self, key: u64) -> bool {
-        self.0.contains(key)
-    }
-    fn insert(&self, key: u64) -> bool {
-        self.0.insert(key)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(key)
-    }
-}
-
-impl RangeSet for MichaelSet {
-    fn range_count(&self, lo: u64, hi: u64) -> usize {
-        self.0.range_count(lo, hi)
-    }
-}
-
-/// Split-ordered list adapter.
-pub struct SplitSet(pub SplitOrderedSet);
-
-impl ConcurrentSet for SplitSet {
-    fn contains(&self, key: u64) -> bool {
-        self.0.contains(key)
-    }
-    fn insert(&self, key: u64) -> bool {
-        self.0.insert(key)
-    }
-    fn remove(&self, key: u64) -> bool {
-        self.0.remove(key)
+        self.0.lock().unwrap().range(lo..hi).count()
     }
 }
 
@@ -386,8 +280,7 @@ impl ConcurrentSet for SplitSet {
 // ---------------------------------------------------------------------
 
 /// The list-shaped implementations swept by E4/E5.
-pub const LIST_IMPLS: &[&str] =
-    &["tx-elastic", "tx-opaque", "tx-skiplist", "hoh-lock", "harris-michael", "global-lock"];
+pub const LIST_IMPLS: &[&str] = &["tx-elastic", "tx-opaque", "tx-skiplist", "global-lock"];
 
 /// Construct a list implementation by name; the returned boxed set also
 /// carries its own `Stm` where applicable (exposed via `stm` for stats).
@@ -408,20 +301,16 @@ pub fn make_list_impl(name: &str) -> (Box<dyn ConcurrentSet + Send + Sync>, Opti
             let stm = Arc::new(Stm::new());
             (Box::new(TxSkipListSet(TxSkipList::new(Arc::clone(&stm)))), Some(stm))
         }
-        "hoh-lock" => (Box::new(HohSet(HandOverHandList::new())), None),
-        "harris-michael" => (Box::new(LockFreeListSet(polytm_lockfree::LockFreeList::new())), None),
         "global-lock" => (Box::new(GlobalLockSet(Mutex::new(BTreeSet::new()))), None),
         other => panic!("unknown list implementation {other:?}"),
     }
 }
 
 /// The hash-shaped implementations swept by E6.
-pub const HASH_IMPLS: &[&str] =
-    &["tx-hash-elastic", "tx-hash-opaque", "striped-lock", "split-ordered", "michael-fixed"];
+pub const HASH_IMPLS: &[&str] = &["tx-hash-elastic", "tx-hash-opaque", "global-lock"];
 
 /// Construct a hash implementation by name. `initial_buckets` seeds the
-/// resizable tables (Michael's fixed table gets it as its *only* size —
-/// that is its documented limitation).
+/// transactional tables, which then grow by transactional resize.
 pub fn make_hash_impl(
     name: &str,
     initial_buckets: usize,
@@ -446,16 +335,8 @@ pub fn make_hash_impl(
                 Some(stm),
             )
         }
-        "striped-lock" => (Box::new(StripedSet(StripedHashSet::new(initial_buckets, 8))), None),
-        "split-ordered" => (Box::new(SplitSet(SplitOrderedSet::new(1 << 16, 8))), None),
-        "michael-fixed" => (Box::new(MichaelSet(MichaelHashSet::new(initial_buckets))), None),
+        "global-lock" => (Box::new(GlobalLockSet(Mutex::new(BTreeSet::new()))), None),
         other => panic!("unknown hash implementation {other:?}"),
-    }
-}
-
-impl RangeSet for SplitSet {
-    fn range_count(&self, lo: u64, hi: u64) -> usize {
-        self.0.range_count(lo, hi)
     }
 }
 
@@ -463,17 +344,14 @@ impl RangeSet for SplitSet {
 // Backend registry — the scenario matrix's axis of implementations
 // ---------------------------------------------------------------------
 
-/// Synchronization family of a backend — the comparison axis of the
-/// paper: transactional vs lock-based vs lock-free implementations of
-/// the same abstractions.
+/// Synchronization family of a backend: the polymorphic STM, or the
+/// one-big-lock control every transactional row is read against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// Backed by the polymorphic STM.
     Transactional,
-    /// Fine- or coarse-grained locking.
+    /// A coarse `Mutex` around a standard collection.
     LockBased,
-    /// Non-blocking (CAS + epoch reclamation).
-    LockFree,
 }
 
 impl Family {
@@ -482,7 +360,6 @@ impl Family {
         match self {
             Family::Transactional => "tx",
             Family::LockBased => "lock",
-            Family::LockFree => "lockfree",
         }
     }
 }
@@ -547,33 +424,8 @@ fn make_tx_hash() -> BackendInstance {
     }
 }
 
-fn make_lock_hoh_list() -> BackendInstance {
-    BackendInstance { set: Box::new(HohSet(HandOverHandList::new())), stm: None }
-}
-
-fn make_lock_striped_hash() -> BackendInstance {
-    BackendInstance { set: Box::new(StripedSet(StripedHashSet::new(64, 8))), stm: None }
-}
-
 fn make_lock_global() -> BackendInstance {
     BackendInstance { set: Box::new(GlobalLockSet(Mutex::new(BTreeSet::new()))), stm: None }
-}
-
-fn make_lockfree_list() -> BackendInstance {
-    BackendInstance {
-        set: Box::new(LockFreeListSet(polytm_lockfree::LockFreeList::new())),
-        stm: None,
-    }
-}
-
-fn make_lockfree_hash() -> BackendInstance {
-    // Fixed table sized for the hash scenarios' steady state (~4k keys):
-    // the inability to resize is this backend's documented limitation.
-    BackendInstance { set: Box::new(MichaelSet(MichaelHashSet::new(1024))), stm: None }
-}
-
-fn make_lockfree_split() -> BackendInstance {
-    BackendInstance { set: Box::new(SplitSet(SplitOrderedSet::new(1 << 16, 8))), stm: None }
 }
 
 fn make_adaptive_list() -> BackendInstance {
@@ -586,7 +438,7 @@ fn make_adaptive_hash() -> BackendInstance {
     BackendInstance { set: Box::new(set), stm: Some(stm) }
 }
 
-/// Every backend the scenario matrix drives: all three families, both
+/// Every backend the scenario matrix drives: both families, both
 /// shapes. `scenarios --quick` and the full matrix iterate this table.
 pub const BACKENDS: &[Backend] = &[
     Backend {
@@ -608,40 +460,10 @@ pub const BACKENDS: &[Backend] = &[
         make: make_tx_hash,
     },
     Backend {
-        name: "lock-hoh-list",
-        family: Family::LockBased,
-        shape: Shape::Ordered,
-        make: make_lock_hoh_list,
-    },
-    Backend {
-        name: "lock-striped-hash",
-        family: Family::LockBased,
-        shape: Shape::Hash,
-        make: make_lock_striped_hash,
-    },
-    Backend {
         name: "lock-global",
         family: Family::LockBased,
         shape: Shape::Ordered,
         make: make_lock_global,
-    },
-    Backend {
-        name: "lockfree-list",
-        family: Family::LockFree,
-        shape: Shape::Ordered,
-        make: make_lockfree_list,
-    },
-    Backend {
-        name: "lockfree-hash",
-        family: Family::LockFree,
-        shape: Shape::Hash,
-        make: make_lockfree_hash,
-    },
-    Backend {
-        name: "lockfree-split",
-        family: Family::LockFree,
-        shape: Shape::Hash,
-        make: make_lockfree_split,
     },
     Backend {
         name: "adaptive-list",
@@ -703,24 +525,24 @@ pub struct CoarseLockKv(pub Mutex<HashMap<u64, Value>>);
 
 impl KvTable for CoarseLockKv {
     fn read(&self, key: u64) -> bool {
-        self.0.lock().contains_key(&key)
+        self.0.lock().unwrap().contains_key(&key)
     }
     fn update(&self, key: u64, value: u64) {
-        self.0.lock().insert(key, Value::from_u64(value));
+        self.0.lock().unwrap().insert(key, Value::from_u64(value));
     }
     fn insert(&self, key: u64, value: u64) {
-        self.0.lock().insert(key, Value::from_u64(value));
+        self.0.lock().unwrap().insert(key, Value::from_u64(value));
     }
     fn delete(&self, key: u64) -> bool {
-        self.0.lock().remove(&key).is_some()
+        self.0.lock().unwrap().remove(&key).is_some()
     }
     fn read_modify_write(&self, key: u64, value: u64) {
-        let mut map = self.0.lock();
+        let mut map = self.0.lock().unwrap();
         let cur = map.get(&key).and_then(Value::as_u64).unwrap_or(0);
         map.insert(key, Value::from_u64(cur ^ value));
     }
     fn scan(&self, lo: u64, hi: u64) -> usize {
-        self.0.lock().keys().filter(|&&k| lo <= k && k < hi).count()
+        self.0.lock().unwrap().keys().filter(|&&k| lo <= k && k < hi).count()
     }
 }
 
@@ -1003,8 +825,8 @@ mod tests {
 
     #[test]
     fn impl_lists_and_factories_agree() {
-        assert_eq!(LIST_IMPLS.len(), 6);
-        assert_eq!(HASH_IMPLS.len(), 5);
+        assert_eq!(LIST_IMPLS.len(), 4);
+        assert_eq!(HASH_IMPLS.len(), 3);
     }
 
     #[test]
@@ -1125,8 +947,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_all_three_families() {
-        for family in [Family::Transactional, Family::LockBased, Family::LockFree] {
+    fn registry_covers_both_families() {
+        for family in [Family::Transactional, Family::LockBased] {
             assert!(
                 BACKENDS.iter().any(|b| b.family == family),
                 "no backend registered for {family:?}"

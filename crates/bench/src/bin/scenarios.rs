@@ -1,6 +1,6 @@
 //! The scenario-matrix engine: every registered backend (transactional,
-//! lock-based, lock-free) × every workload scenario × a thread sweep,
-//! reporting throughput, latency quantiles and (for tx backends) abort
+//! plus the coarse-lock control) × every workload scenario × a thread
+//! sweep, reporting throughput, latency quantiles and (for tx backends) abort
 //! ratios as machine-readable rows in `BENCH_scenarios.json`. The
 //! matrix has four wings: the set-shaped scenarios over `BACKENDS`,
 //! the YCSB-style record-store family (`ycsb-*`) over `KV_BACKENDS`,
@@ -224,7 +224,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "snapshot-scan",
         // Point updates against whole-range readers: the regime where
-        // snapshot semantics (tx) vs best-effort scans (locks/lock-free)
+        // snapshot semantics (tx) vs a scan under the global lock
         // differ the most.
         mix: || OpMix::with_scans(20, 10).into(),
         dist: |_| KeyDist::Uniform,
@@ -579,8 +579,7 @@ fn render_row(rev: &str, label: &str, cores: usize, r: &Row) -> String {
 
 /// Does a backend named `name` in `family` match the `--backend`
 /// filter? Exact name (`tx-list`) or exact family label (`tx` /
-/// `lock` / `lockfree`) — never a substring, so `--backend lock`
-/// cannot drag in `lockfree-*`. Shared by both registries.
+/// `lock`), never a substring. Shared by both registries.
 fn matches_filter(name: &str, family: Family, filter: &str) -> bool {
     filter.is_empty() || name == filter || family.label() == filter
 }

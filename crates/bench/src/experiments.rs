@@ -1,5 +1,5 @@
-//! E1–E10: one function per experiment in `DESIGN.md`, each returning its
-//! rendered report. `EXPERIMENTS.md` records the expected shapes.
+//! E1–E10: one function per experiment in `DESIGN.md` §5, each returning
+//! its rendered report.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -183,24 +183,23 @@ pub fn e5_abort_rates(profile: &Profile) -> String {
 }
 
 /// E6 — hash-set throughput with growth pressure (the §1 motivating
-/// example: resizable vs fixed tables).
+/// example: a table that resizes transactionally), against the coarse
+/// lock.
 pub fn e6_hash_throughput(profile: &Profile) -> String {
     let mut t = Table::new(
         "E6: hash set throughput under growth (initial 4 buckets, key space 8192)",
-        &["impl", "update%", "threads", "throughput", "note"],
+        &["impl", "update%", "threads", "throughput"],
     );
     for &updates in &[10u32, 50] {
         for &threads in &profile.threads {
             for name in HASH_IMPLS {
                 let (set, _stm) = make_hash_impl(name, 4);
                 let m = run_workload(set.as_ref(), &spec(profile, threads, 8192, updates));
-                let note = if *name == "michael-fixed" { "cannot resize" } else { "resizable" };
                 t.row(&[
                     name.to_string(),
                     updates.to_string(),
                     threads.to_string(),
                     format!("{:.0}", m.throughput),
-                    note.to_string(),
                 ]);
             }
         }

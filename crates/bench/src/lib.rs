@@ -3,8 +3,9 @@
 //! One entry point per experiment in `DESIGN.md` (E1–E10), each
 //! regenerating the corresponding table/figure. Run them all with
 //! `cargo run --release -p polytm-bench --bin tables -- all`, or a single
-//! one with e.g. `-- e4`. Criterion micro-benchmarks live under
-//! `benches/`.
+//! one with e.g. `-- e4`. The binaries under `src/bin` are the scenario
+//! matrix (`scenarios`), the committed perf trajectory (`perfsuite`) and
+//! the trace and row tooling (`traceview`, `perfgate`, `benchlint`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

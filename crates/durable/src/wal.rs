@@ -653,13 +653,13 @@ mod tests {
             ..DurableKvConfig::default()
         };
         let store = DurableKv::open(Arc::new(FaultFs::new(21)), cfg).unwrap();
-        let start = Instant::now();
         for k in 0..3u64 {
             store.put(k, Value::from_u64(k)).unwrap();
         }
         // A committer still registered in flight when it led its own
-        // flush would sit out the whole window on every put.
-        assert!(start.elapsed() < window / 2, "three sole commits took {:?}", start.elapsed());
+        // flush would sit out the whole window on every put. `WAL_LINGER`
+        // is emitted exactly when a leader waits, so the counts prove it
+        // did not: one sync per put, and no linger on this thread.
         let stats = store.stm().stats();
         assert_eq!((stats.commits_durable, stats.fsyncs), (3, 3));
         assert!(lingers_of(std::thread::current().id()).is_empty(), "nobody to linger for");

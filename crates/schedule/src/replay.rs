@@ -60,7 +60,7 @@ fn semantics_for(sync: Synchronization, sem: &OpSemantics) -> Result<Semantics, 
             }
         },
         Synchronization::LockBased => {
-            Err("lock-based schedules are replayed via polytm-locks, not the STM".into())
+            Err("lock schedules are validated by `LockSchedule`, not replayed on the STM".into())
         }
     }
 }

@@ -5,8 +5,8 @@
 //! directory and one bucket, running elastically by default: a resize
 //! that slides in *behind* an operation does not abort it. The resize
 //! itself is one monomorphic (`def`) transaction that atomically swaps
-//! the whole directory — the operation that Michael's lock-free table
-//! (crate `polytm-lockfree`) simply cannot express.
+//! the whole directory — the operation that a fixed-bucket lock-free
+//! table such as Michael's (SPAA 2002) cannot express.
 
 use std::sync::Arc;
 

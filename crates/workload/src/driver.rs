@@ -12,8 +12,8 @@ use crate::mix::{MixSchedule, OpKind, OpMix};
 use crate::rng::SplitMix64;
 
 /// Anything that behaves like a concurrent set of `u64` keys. All the
-/// implementations under test (transactional, lock-based, lock-free)
-/// adapt to this in the bench crate.
+/// implementations under test (transactional, and the coarse-lock
+/// control) adapt to this in the bench crate.
 pub trait ConcurrentSet: Sync {
     /// Membership test.
     fn contains(&self, key: u64) -> bool;
@@ -32,9 +32,9 @@ pub trait ConcurrentSet: Sync {
 
 /// Extension for backends that can observe a whole key range in one
 /// operation — the snapshot/range-scan scenarios drive this. On the
-/// transactional side it is backed by `Stm::snapshot`; lock-based and
-/// lock-free backends scan with whatever consistency their discipline
-/// affords (documented per implementation).
+/// transactional side it is backed by `Stm::snapshot`; the coarse-lock
+/// control scans under its one lock, which makes the scan atomic but
+/// serial.
 pub trait RangeSet: ConcurrentSet {
     /// Number of keys in `[lo, hi)`, observed as one scan.
     fn range_count(&self, lo: u64, hi: u64) -> usize;

@@ -10,11 +10,6 @@
 //! * [`schedule`] (crate `polytm-schedule`) — the paper's formal model,
 //!   executable: schedules, critical steps, acceptance, Figure 1, and
 //!   machine checks of Theorems 1 and 2;
-//! * [`locks`] (crate `polytm-locks`) — lock-based substrate (2PL engine,
-//!   hand-over-hand list, striped hash);
-//! * [`lockfree`] (crate `polytm-lockfree`) — the cited lock-free
-//!   baselines (Harris–Michael list, Michael hash table, split-ordered
-//!   list);
 //! * [`structures`] (crate `polytm-structures`) — transactional ADTs with
 //!   per-operation semantics (list, hash set with transactional resize,
 //!   skip list, counter, queue);
@@ -27,8 +22,11 @@
 //!   runtime: a feedback-driven advisor that observes per-class
 //!   telemetry and selects semantics and contention management live.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! experiment index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! The durable store and the wire server (`polytm-durable`,
+//! `polytm-server`) are used by the examples but not re-exported.
+//!
+//! See `README.md` for a tour and `DESIGN.md` for the system inventory
+//! and experiment index.
 //!
 //! ```
 //! use transaction_polymorphism::prelude::*;
@@ -47,8 +45,6 @@
 pub use polytm as stm;
 pub use polytm_adaptive as adaptive;
 pub use polytm_kv as kv;
-pub use polytm_lockfree as lockfree;
-pub use polytm_locks as locks;
 pub use polytm_schedule as schedule;
 pub use polytm_structures as structures;
 pub use polytm_workload as workload;

@@ -1,6 +1,6 @@
 //! End-to-end Figure 1 / theorem integration tests spanning the formal
-//! model (`polytm-schedule`), the STM (`polytm`) and the lock substrate
-//! (`polytm-locks`).
+//! model (`polytm-schedule`, which also models and checks the lock-based
+//! schedule) and the STM (`polytm`).
 
 use transaction_polymorphism::schedule::theorems::check_all_def_coincides;
 use transaction_polymorphism::schedule::{

@@ -1,14 +1,12 @@
-//! Property test across the whole workspace: every set implementation —
-//! transactional (each semantics), lock-based, and lock-free — must agree
-//! with `BTreeSet` on arbitrary operation sequences.
+//! Property test across the whole workspace: every transactional set
+//! (list under each semantics, skip list, hash set) must agree with
+//! `BTreeSet` on arbitrary operation sequences.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use transaction_polymorphism::lockfree::{LockFreeList, MichaelHashSet, SplitOrderedSet};
-use transaction_polymorphism::locks::{HandOverHandList, StripedHashSet};
 use transaction_polymorphism::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -54,11 +52,6 @@ macro_rules! impl_set {
 impl_set!(TxList, i64);
 impl_set!(TxSkipList, i64);
 impl_set!(TxHashSet, u64);
-impl_set!(HandOverHandList, i64);
-impl_set!(StripedHashSet, u64);
-impl_set!(LockFreeList, u64);
-impl_set!(MichaelHashSet, u64);
-impl_set!(SplitOrderedSet, u64);
 
 fn check(ops: &[Op], set: &dyn SetUnderTest, name: &str) -> Result<(), TestCaseError> {
     let mut model = BTreeSet::new();
@@ -87,18 +80,5 @@ proptest! {
         )?;
         check(&ops, &TxSkipList::new(Arc::clone(&stm)), "TxSkipList")?;
         check(&ops, &TxHashSet::new(Arc::clone(&stm), 2, 2), "TxHashSet")?;
-    }
-
-    #[test]
-    fn lock_based_sets_match_model(ops in ops_strategy()) {
-        check(&ops, &HandOverHandList::new(), "HandOverHandList")?;
-        check(&ops, &StripedHashSet::new(2, 2), "StripedHashSet")?;
-    }
-
-    #[test]
-    fn lock_free_sets_match_model(ops in ops_strategy()) {
-        check(&ops, &LockFreeList::new(), "LockFreeList")?;
-        check(&ops, &MichaelHashSet::new(4), "MichaelHashSet")?;
-        check(&ops, &SplitOrderedSet::new(64, 2), "SplitOrderedSet")?;
     }
 }
