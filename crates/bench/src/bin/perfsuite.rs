@@ -11,13 +11,7 @@
 //! ```text
 //! cargo run --release -p polytm-bench --bin perfsuite -- --label after
 //! cargo run --release -p polytm-bench --bin perfsuite -- --quick --out /tmp/smoke.json
-//! cargo run --release -p polytm-bench --bin perfsuite -- --quick --trace /tmp/run.trace
 //! ```
-//!
-//! `--trace <path>` installs the `polytm-obs` ring tracer before any
-//! measurement and writes the ring dump to `<path>` at exit — the
-//! "tracing on" arm of the overhead comparison CI runs (`perfgate`
-//! judges the two arms; `traceview` decodes the dump).
 //!
 //! `--quick` shrinks every measured window so the whole suite finishes in
 //! a few seconds (the CI `perf-smoke` job runs this mode; the numbers are
@@ -279,15 +273,6 @@ fn render_row(rev: &str, label: &str, cores: usize, r: &Row) -> String {
 
 fn main() {
     let cli = BenchCli::parse("BENCH_core.json");
-    let trace_out = cli.grab("--trace", "");
-    let tracer = if trace_out.is_empty() {
-        None
-    } else {
-        // 64Ki events per thread: enough for a quick run's hot loops
-        // to show shape; overflow is counted, not blocking.
-        Some(polytm_obs::RingTracer::install(1 << 16).expect("a trace sink is already installed"))
-    };
-
     let knobs = Knobs::new(cli.quick);
     let rev = git_rev();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -313,15 +298,4 @@ fn main() {
     let lines: Vec<String> = rows.iter().map(|r| render_row(&rev, &cli.label, cores, r)).collect();
     append_rows(&cli.out, &lines, cli.fresh);
     eprintln!("perfsuite: wrote {} rows to {}", lines.len(), cli.out);
-
-    if let Some(t) = tracer {
-        let dump = t.drain();
-        let events: usize = dump.rings.iter().map(|r| r.events.len()).sum();
-        dump.write_file(&trace_out).expect("write trace dump");
-        eprintln!(
-            "perfsuite: traced {events} events across {} rings ({} dropped) to {trace_out}",
-            dump.rings.len(),
-            dump.dropped_total()
-        );
-    }
 }

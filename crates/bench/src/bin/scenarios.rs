@@ -40,11 +40,11 @@
 //! `server-kv` rows decompose where commits waited: `wait_stm_ns`
 //! (era gate + arbitration + backoff), `wait_wal_ns` (group-commit
 //! durability), `wait_net_ns` (reply backpressure) — the same
-//! components `traceview --waterfall` attributes per request. Traced
-//! runs (`--trace`) add `trace_dropped`, the events each cell shed
-//! from its rings (CI fails the quick traced sweep if any cell
-//! dropped), and install the slow-request flight recorder
-//! (`--slow-us`, default 500).
+//! components `traceview`'s request waterfall attributes per request.
+//! Traced runs (`--trace`) add `trace_dropped`, the events each cell
+//! shed from its rings (bounded by the dump's drop total, which
+//! `traceview --deny-drops` fails on), and install the slow-request
+//! flight recorder (`--slow-us`, default 500).
 //!
 //! `bench` is `scenario/backend` (e.g. `hotspot/tx-list`,
 //! `ycsb-a/kv-sharded`, `htap/kv-adaptive`,

@@ -1,24 +1,23 @@
-//! Decode and analyze a `polytm-obs` trace dump.
+//! Decode and replay a `polytm-obs` trace dump.
 //!
 //! ```text
 //! cargo run --release -p polytm-bench --bin traceview -- /tmp/run.trace
 //! cargo run --release -p polytm-bench --bin traceview -- /tmp/run.trace --top 20
-//! cargo run --release -p polytm-bench --bin traceview -- /tmp/run.trace --waterfall
+//! cargo run --release -p polytm-bench --bin traceview -- /tmp/run.trace --deny-drops
 //! ```
 //!
 //! The input is the `PTRC` ring-dump file a traced run writes
-//! (`scenarios --trace <path>`, `perfsuite --trace <path>`, or any
-//! embedder calling `RingTracer::drain().write_file(..)`). The output
-//! is the four-view report from [`polytm_bench::analyze`]: per-class
-//! timelines, abort attribution by address, WAL group-commit
-//! histograms, and per-connection coalescing efficiency.
+//! (`scenarios --trace <path>`, or any embedder calling
+//! `RingTracer::drain().write_file(..)`). The output is the report
+//! [`polytm_bench::replay`] builds in one pass over each ring:
+//! per-class timelines, abort attribution by address, WAL group-commit
+//! histograms, per-connection coalescing, advisor flips, and the
+//! per-request waterfall — which layer (batch wait, STM gate/
+//! arbitration/backoff, WAL, everything else) the p50/p99/p999 went
+//! to — with its join-health counters.
 //!
 //! Flags:
 //!
-//! * `--waterfall` — additionally join causal request spans
-//!   ([`polytm_bench::waterfall`]) and print per-request tail-latency
-//!   decomposition: which layer (batch wait, STM gate/arbitration/
-//!   backoff, WAL, everything else) the p50/p99/p999 went to.
 //! * `--deny-drops` — exit nonzero if the traced run shed any events
 //!   (a dump with drops is an *incomplete* trace; CI uses this so a
 //!   waterfall is never built from a stream with holes).
@@ -29,8 +28,7 @@
 //! trailing garbage) or contains no events at all; `2` on usage
 //! errors; `3` when `--deny-drops` found shed events.
 
-use polytm_bench::analyze::{analyze, render};
-use polytm_bench::waterfall;
+use polytm_bench::replay::{render, replay_dump};
 use polytm_obs::TraceDump;
 
 fn main() {
@@ -38,7 +36,7 @@ fn main() {
     let path = match args.iter().find(|a| !a.starts_with("--")) {
         Some(p) => p.clone(),
         None => {
-            eprintln!("usage: traceview <dump.trace> [--top N] [--waterfall] [--deny-drops]");
+            eprintln!("usage: traceview <dump.trace> [--top N] [--deny-drops]");
             std::process::exit(2);
         }
     };
@@ -48,7 +46,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    let want_waterfall = args.iter().any(|a| a == "--waterfall");
     let deny_drops = args.iter().any(|a| a == "--deny-drops");
 
     let dump = match TraceDump::read_file(std::path::Path::new(&path)) {
@@ -58,8 +55,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let events = dump.merged_events();
-    if events.is_empty() {
+    let report = replay_dump(&dump);
+    if report.events == 0 {
         eprintln!(
             "traceview: {path}: dump decodes but holds no events ({} rings, capacity {}); \
              was the tracer installed before the run?",
@@ -73,13 +70,10 @@ fn main() {
         "traceview: {path}: {} rings (capacity {}), {} events, {} dropped",
         dump.rings.len(),
         dump.capacity,
-        events.len(),
+        report.events,
         dropped
     );
-    print!("{}", render(&analyze(&events), top));
-    if want_waterfall {
-        print!("{}", waterfall::render(&waterfall::join(&dump), top));
-    }
+    print!("{}", render(&report, top));
     if deny_drops && dropped > 0 {
         eprintln!(
             "traceview: {path}: {dropped} events dropped — trace is incomplete \

@@ -5,16 +5,15 @@
 //! `cargo run --release -p polytm-bench --bin tables -- all`, or a single
 //! one with e.g. `-- e4`. The binaries under `src/bin` are the scenario
 //! matrix (`scenarios`), the committed perf trajectory (`perfsuite`) and
-//! the trace and row tooling (`traceview`, `perfgate`, `benchlint`).
+//! the trace and row tooling (`traceview` over [`replay`], `benchlint`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod adapters;
-pub mod analyze;
 pub mod experiments;
+pub mod replay;
 pub mod report;
-pub mod waterfall;
 
 pub use adapters::{
     make_hash_impl, make_list_impl, AdaptiveHashSet, AdaptiveListSet, Backend, BackendInstance,

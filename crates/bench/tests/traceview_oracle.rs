@@ -1,7 +1,7 @@
 //! The traceview acceptance test: a deterministic single-threaded run
 //! with known classes, forced abort addresses, and a sync-mode WAL is
 //! traced through the real `polytm-obs` ring tracer, dumped through the
-//! real `PTRC` file codec, and analyzed with `polytm_bench::analyze` —
+//! real `PTRC` file codec, and replayed with `polytm_bench::replay` —
 //! then every headline number in the report is checked against counts
 //! the test computed independently (and against the STM's own stats
 //! counters for the WAL histograms).
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polytm::{Abort, ClassId, Semantics, Stm, StmConfig, TxParams};
-use polytm_bench::analyze::{analyze, render, TraceReport};
+use polytm_bench::replay::{render, replay_dump, TraceReport};
 use polytm_durable::{Durability, DurableKv, DurableKvConfig, RealFs, WalConfig};
 use polytm_kv::{KvConfig, Value};
 use polytm_obs::{RingTracer, TraceDump};
@@ -110,7 +110,7 @@ fn traceview_report_matches_a_deterministic_oracle() {
 
     // Server phase: a loopback server answers synchronous puts and
     // gets, so the dump carries request spans (REQ_RECV … REQ_DONE on
-    // the worker's ring) for the waterfall joiner to reassemble.
+    // the worker's ring) for the replay to reassemble.
     let server_store = Arc::new(polytm_kv::KvStore::new(Arc::new(Stm::new())));
     let handle = polytm_server::Server::spawn(
         server_store,
@@ -139,9 +139,7 @@ fn traceview_report_matches_a_deterministic_oracle() {
     let reread = TraceDump::read_file(&trace_path).expect("reread trace dump");
     let _ = std::fs::remove_file(&trace_path);
     assert_eq!(reread.dropped_total(), 0, "this run fits the ring with room to spare");
-    let events = reread.merged_events();
-    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns), "merged events are time-sorted");
-    let report = analyze(&events);
+    let report = replay_dump(&reread);
 
     // -- per-class timelines --------------------------------------
     let lock = trace::cause(polytm::AbortCause::LockConflict);
@@ -192,35 +190,42 @@ fn traceview_report_matches_a_deterministic_oracle() {
     // its own flush, so every batch lands in the [1, 2) bucket.
     assert_eq!(report.wal_batch.buckets().collect::<Vec<_>>(), vec![(0, 2, PUTS)]);
 
+    // -- per-connection coalescing -------------------------------
+    // The client is synchronous, so every put is its own one-op batch
+    // on the one connection; the durable phase's commits carry no
+    // connection and stay out of the table.
+    let conns: Vec<(u64, u64)> = report.conns.values().map(|c| (c.batches, c.ops)).collect();
+    assert_eq!(conns, vec![(SERVER_PUTS, SERVER_PUTS)], "one connection, one op per batch");
+
     // -- request-span waterfall -----------------------------------
     // The span-join oracle: a single synchronous client means every
     // request opened exactly one span, every span closed, and nothing
     // joined across requests.
-    let wf = polytm_bench::waterfall::join(&reread);
-    assert_eq!(wf.unmatched_done, 0, "every REQ_DONE closed a REQ_RECV");
-    assert_eq!(wf.unclosed_recv, 0, "every REQ_RECV was answered before shutdown");
-    assert_eq!(wf.shed_open, 0);
-    assert_eq!(wf.requests.len() as u64, SERVER_PUTS + SERVER_GETS, "one span per wire request");
-    let batched = wf.requests.iter().filter(|r| r.batch_ops > 0).count() as u64;
+    assert_eq!(report.unmatched_done, 0, "every REQ_DONE closed a REQ_RECV");
+    assert_eq!(report.unclosed_recv, 0, "every REQ_RECV was answered before shutdown");
+    assert_eq!(report.shed_open, 0);
+    assert_eq!(
+        report.requests.len() as u64,
+        SERVER_PUTS + SERVER_GETS,
+        "one span per wire request"
+    );
+    let batched = report.requests.iter().filter(|r| r.batch_ops > 0).count() as u64;
     assert_eq!(batched, SERVER_PUTS, "every put joined to its commit; no get did");
-    for span in &wf.requests {
+    for span in &report.requests {
         assert!(span.total_ns > 0, "request spans measure real time");
         assert!(
-            span.components_ns() <= span.total_ns || wf.overflowed > 0,
+            span.components_ns() <= span.total_ns || report.overflowed > 0,
             "components never exceed the measured end-to-end time"
         );
     }
-    assert_eq!(wf.overflowed, 0, "decomposed waits fit inside every request");
-    for span in &wf.requests {
+    assert_eq!(report.overflowed, 0, "decomposed waits fit inside every request");
+    for span in &report.requests {
         assert_eq!(
             span.components_ns(),
             span.total_ns,
             "batch_wait + stm + wal + other reassembles the whole request"
         );
     }
-    let wf_text = polytm_bench::waterfall::render(&wf, 5);
-    assert!(wf_text.contains("40 requests joined"), "waterfall render:\n{wf_text}");
-    assert!(wf_text.contains("batch_wait"), "waterfall table lists the layers:\n{wf_text}");
 
     // -- the rendered report mentions the headline numbers --------
     let text = render(&report, 10);
@@ -233,6 +238,8 @@ fn traceview_report_matches_a_deterministic_oracle() {
         "addr 0xdead: 50 aborts",
         "addr 0xcafe: 15 aborts",
         "commits/flush",
+        "40 requests joined",
+        "batch_wait",
     ] {
         assert!(text.contains(needle), "render output missing {needle:?}:\n{text}");
     }

@@ -9,7 +9,7 @@
 //! controller, the WAL's group-commit leader, the server's read-sweep
 //! coalescer), most of which have no `Stm` in hand at the emit site, and
 //! a trace that interleaves all layers on one clock is exactly what the
-//! analyzer wants. One process, one trace.
+//! replay wants. One process, one trace.
 //!
 //! ## Hot-path cost
 //!
@@ -91,14 +91,10 @@ pub mod code {
     /// new semantics code, `a` = old packed policy word, `b` = new
     /// packed policy word ([`u64::MAX`] encodes "previously unset").
     pub const ADVISOR_FLIP: u8 = 6;
-    /// A WAL group-commit leader flushed a batch. `n` = commits in the
-    /// batch, `a` = append+fsync latency in nanoseconds, `b` = bytes
-    /// appended.
-    pub const WAL_FLUSH: u8 = 7;
-    /// The server admitted one coalesced write batch into a single STM
-    /// commit. `n` = pipelined ops in the batch, `a` = connection id,
-    /// `b` = request payload bytes coalesced.
-    pub const SERVER_BATCH: u8 = 8;
+    // 7 and 8 are retired: they were the point events `WAL_FLUSH` and
+    // `SERVER_BATCH`, which `WAL_FSYNC` and `BATCH_COMMIT` repeat. Never
+    // reuse them, so older dumps still decode (and replay skips those
+    // events as unknown).
 
     // -- causal span codes (duration-style; emitted only when the
     // attempt/flush actually waited, so the zero-wait fast path stays at
@@ -129,10 +125,11 @@ pub mod code {
     /// in flight when the wait began, `a` = nanoseconds waited — at
     /// most the group window.
     pub const WAL_LINGER: u8 = 13;
-    /// The WAL flush leader's append+fsync I/O. `n` = entries in the
-    /// batch, `a` = I/O nanoseconds, `b` = bytes appended. (Same
-    /// latency [`WAL_FLUSH`] reports; this event exists so the span
-    /// joiner can attribute the I/O to requests on the leader's ring.)
+    /// A WAL group-commit leader flushed a batch. `n` = entries in the
+    /// batch, `a` = fsync nanoseconds, `b` = bytes appended. One per
+    /// successful flush: the replay takes batch sizes, inter-flush gaps
+    /// and fsync latency from it, and attributes the fsync to requests
+    /// on the leader's ring.
     pub const WAL_FSYNC: u8 = 14;
     /// The server decoded one request frame in a read sweep — a
     /// request span opens. `sub` = opcode, `n` = request sequence
@@ -146,10 +143,12 @@ pub mod code {
     /// request sequence number, `a` = connection id, `b` = ops in the
     /// run after enqueue.
     pub const BATCH_ENQUEUE: u8 = 17;
-    /// The coalescing run committed as one STM transaction. `n` = ops,
-    /// `a` = connection id, `b` = first sequence in the high 32 bits |
-    /// last sequence in the low 32 bits (the span joiner ties every
-    /// enqueued request in `[first, last]` to this commit).
+    /// The coalescing run committed as one STM transaction (emitted
+    /// after a successful commit only). `n` = ops, `a` = connection id
+    /// (`0` = untagged embedder call), `b` = first sequence in the high
+    /// 32 bits | last sequence in the low 32 bits (the replay ties every
+    /// enqueued request in `[first, last]` to this commit, and counts
+    /// tagged commits as per-connection coalescing).
     pub const BATCH_COMMIT: u8 = 18;
     /// A reply-backpressure stall ended. `a` = connection id, `b` =
     /// nanoseconds the connection spent stalled.
@@ -173,7 +172,7 @@ pub fn unpack_seq_range(b: u64) -> (u32, u32) {
     ((b >> 32) as u32, b as u32)
 }
 
-/// Human-readable name for an event code (for analyzers; unknown codes
+/// Human-readable name for an event code (for trace tools; unknown codes
 /// render as `"unknown"`).
 pub fn code_name(c: u8) -> &'static str {
     match c {
@@ -183,8 +182,6 @@ pub fn code_name(c: u8) -> &'static str {
         code::TXN_EXTEND => "txn-extend",
         code::ADVISOR_EPOCH => "advisor-epoch",
         code::ADVISOR_FLIP => "advisor-flip",
-        code::WAL_FLUSH => "wal-flush",
-        code::SERVER_BATCH => "server-batch",
         code::WAIT_GATE => "wait-gate",
         code::WAIT_ARBITRATE => "wait-arbitrate",
         code::WAIT_CLOCK => "wait-clock",
@@ -308,7 +305,11 @@ mod tests {
             assert_ne!(cause_name(cause_code(c)), "unknown");
         }
         for k in 1..=19u8 {
-            assert_ne!(code_name(k), "unknown");
+            if k == 7 || k == 8 {
+                assert_eq!(code_name(k), "unknown", "code {k} is retired");
+            } else {
+                assert_ne!(code_name(k), "unknown");
+            }
         }
         assert_eq!(code_name(0), "unknown");
         assert_eq!(code_name(20), "unknown");

@@ -374,7 +374,6 @@ impl Wal {
             });
         }
 
-        let io_start = std::time::Instant::now();
         let mut fsync_ns = 0u64;
         let result = if buf.is_empty() {
             Ok(())
@@ -387,7 +386,6 @@ impl Wal {
                 r
             })
         };
-        let io_ns = io_start.elapsed().as_nanos() as u64;
 
         let mut inner = self.lock();
         inner.flushing = false;
@@ -411,21 +409,9 @@ impl Wal {
                         stm.record_durable(entries, 1, 1, buf.len() as u64);
                     }
                     // One event per group-commit flush: the batch the
-                    // leader drained, its append+fsync latency, and the
+                    // leader drained, its fsync latency — the floor any
+                    // group-window tuning has to live with — and the
                     // bytes it made durable.
-                    polytm::trace::emit(|| {
-                        polytm::trace::TraceEvent::new(
-                            polytm::trace::code::WAL_FLUSH,
-                            0,
-                            polytm::trace::NO_CLASS,
-                            entries.min(u64::from(u32::MAX)) as u32,
-                            io_ns,
-                            buf.len() as u64,
-                        )
-                    });
-                    // The fsync alone (WAL_FLUSH's `a` also covers the
-                    // append memcpy into the page cache): the floor any
-                    // group-window tuning has to live with.
                     polytm::trace::emit(|| {
                         polytm::trace::TraceEvent::new(
                             polytm::trace::code::WAL_FSYNC,

@@ -47,14 +47,6 @@ pub struct TraceDump {
 }
 
 impl TraceDump {
-    /// All events across all rings, merged and sorted by timestamp.
-    pub fn merged_events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> =
-            self.rings.iter().flat_map(|r| r.events.iter().copied()).collect();
-        all.sort_by_key(|e| e.ts_ns);
-        all
-    }
-
     /// Total events shed across all rings.
     pub fn dropped_total(&self) -> u64 {
         self.rings.iter().map(|r| r.dropped).sum()
@@ -219,29 +211,5 @@ mod tests {
         long.push(0);
         assert!(TraceDump::from_bytes(&long).is_err());
         assert!(TraceDump::from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn merged_events_sorts_across_rings() {
-        let d = TraceDump {
-            capacity: 8,
-            rings: vec![
-                RingDump {
-                    ring: 0,
-                    dropped: 0,
-                    events: vec![TraceEvent { ts_ns: 30, ..Default::default() }],
-                },
-                RingDump {
-                    ring: 1,
-                    dropped: 0,
-                    events: vec![
-                        TraceEvent { ts_ns: 10, ..Default::default() },
-                        TraceEvent { ts_ns: 40, ..Default::default() },
-                    ],
-                },
-            ],
-        };
-        let ts: Vec<u64> = d.merged_events().iter().map(|e| e.ts_ns).collect();
-        assert_eq!(ts, vec![10, 30, 40]);
     }
 }

@@ -11,7 +11,7 @@
 //!   group-commit leader, the server's coalescer) stream fixed-size
 //!   32-byte events into per-thread rings that shed-and-count instead
 //!   of blocking. [`TraceDump`] persists a drain in a strict binary
-//!   format the `traceview` analyzer (crates/bench) decodes offline.
+//!   format the `traceview` replay (crates/bench) decodes offline.
 //!
 //! * **Unified metrics** — [`MetricsRegistry`] flattens every layer's
 //!   counters (StmStats, ServerStats, durability, advisor class

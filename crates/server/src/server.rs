@@ -307,7 +307,8 @@ static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Per-connection state owned by exactly one worker.
 struct Conn {
-    /// Stable identity for `SERVER_BATCH` trace events.
+    /// Stable identity for trace events (`REQ_*`, `BATCH_*`) and the
+    /// flight recorder.
     id: u64,
     stream: TcpStream,
     /// Received, not-yet-decoded bytes.
@@ -636,7 +637,7 @@ fn commit_run(
     let (Some(&(_, first_seq)), Some(&(_, last_seq))) = (run.ids.first(), run.ids.last()) else {
         return;
     };
-    let batch_bytes = std::mem::take(&mut run.bytes) as u64;
+    run.bytes = 0;
     let tag = BatchTag { conn: conn.id, first_seq, last_seq };
     // Time the commit only when a flight recorder is installed: until
     // then this is one atomic load per batch, no clock reads.
@@ -650,16 +651,6 @@ fn commit_run(
             stats.batches.fetch_add(1, Ordering::Relaxed);
             stats.batched_ops.fetch_add(run.ids.len() as u64, Ordering::Relaxed);
             let ops = run.ids.len().min(u32::MAX as usize) as u32;
-            trace::emit(|| {
-                TraceEvent::new(
-                    trace::code::SERVER_BATCH,
-                    0,
-                    trace::NO_CLASS,
-                    ops,
-                    conn.id,
-                    batch_bytes,
-                )
-            });
             for ((opcode, seq), reply) in run.ids.drain(..).zip(replies) {
                 let resp = match reply {
                     WriteReply::Written { existed } => Response::Written { existed },

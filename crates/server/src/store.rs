@@ -41,7 +41,7 @@ pub struct BatchTag {
 
 impl BatchTag {
     /// Tag for calls that did not come off a connection (prefills,
-    /// embedder batches, tests). The waterfall joiner ignores
+    /// embedder batches, tests). The trace replay ignores
     /// connection `0`.
     pub const UNTAGGED: BatchTag = BatchTag { conn: 0, first_seq: 0, last_seq: 0 };
 }
@@ -49,7 +49,7 @@ impl BatchTag {
 /// One `BATCH_COMMIT` event per successful coalesced commit. Emitted
 /// from inside the store — *after* the transaction's `WAIT_*` and WAL
 /// wait events, on the same thread's ring — which is exactly the order
-/// the waterfall joiner relies on to attribute those waits to this
+/// the trace replay relies on to attribute those waits to this
 /// batch's requests.
 fn emit_batch_commit(tag: BatchTag, ops: usize) {
     polytm::trace::emit(|| {
