@@ -739,7 +739,7 @@ fn make_server_kv_sharded() -> ServerStoreInstance {
     ServerStoreInstance { store, stm, _guard: None }
 }
 
-fn make_server_kv_durable_async() -> ServerStoreInstance {
+fn make_server_kv_durable(mode: Durability) -> ServerStoreInstance {
     static INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir =
@@ -750,7 +750,7 @@ fn make_server_kv_durable_async() -> ServerStoreInstance {
             fs,
             DurableKvConfig {
                 kv: KvConfig { shards: 16, initial_slots: 64, params: KvParams::fixed() },
-                wal: WalConfig { mode: Durability::Async, ..WalConfig::default() },
+                wal: WalConfig { mode, ..WalConfig::default() },
             },
         )
         .expect("open durable server bench store"),
@@ -759,15 +759,29 @@ fn make_server_kv_durable_async() -> ServerStoreInstance {
     ServerStoreInstance { store, stm, _guard: Some(WalDirGuard(dir)) }
 }
 
+fn make_server_kv_durable_sync() -> ServerStoreInstance {
+    make_server_kv_durable(Durability::Sync)
+}
+
+fn make_server_kv_durable_async() -> ServerStoreInstance {
+    make_server_kv_durable(Durability::Async)
+}
+
 /// The stores the network front end is benchmarked over: the plain
-/// sharded store (pure event-loop + STM cost) and the async-durability
-/// WAL store (adds group commit underneath the server's own
-/// coalescing).
+/// sharded store (pure event-loop + STM cost), the sync-durability WAL
+/// store (every reply waits for its event-loop round's one fsync) and
+/// the async-durability WAL store (adds group commit underneath the
+/// server's own coalescing).
 pub const SERVER_BACKENDS: &[ServerBackend] = &[
     ServerBackend {
         name: "kv-sharded",
         family: Family::Transactional,
         make: make_server_kv_sharded,
+    },
+    ServerBackend {
+        name: "kv-durable-sync",
+        family: Family::Transactional,
+        make: make_server_kv_durable_sync,
     },
     ServerBackend {
         name: "kv-durable-async",

@@ -4,7 +4,10 @@
 //! real `PTRC` file codec, and replayed with `polytm_bench::replay` —
 //! then every headline number in the report is checked against counts
 //! the test computed independently (and against the STM's own stats
-//! counters for the WAL histograms).
+//! counters for the WAL histograms). A second, separately drained
+//! phase runs a durable server whose replies wait for one log force
+//! per event-loop round, and checks that the replay still joins every
+//! request to its commit.
 //!
 //! One `#[test]` only: `RingTracer::install` claims the process-global
 //! trace sink, so the whole oracle runs as a single scenario.
@@ -15,7 +18,7 @@ use std::time::Duration;
 
 use polytm::{Abort, ClassId, Semantics, Stm, StmConfig, TxParams};
 use polytm_bench::replay::{render, replay_dump, TraceReport};
-use polytm_durable::{Durability, DurableKv, DurableKvConfig, RealFs, WalConfig};
+use polytm_durable::{Durability, DurableKv, DurableKvConfig, FaultFs, RealFs, WalConfig};
 use polytm_kv::{KvConfig, Value};
 use polytm_obs::{RingTracer, TraceDump};
 
@@ -243,6 +246,56 @@ fn traceview_report_matches_a_deterministic_oracle() {
     ] {
         assert!(text.contains(needle), "render output missing {needle:?}:\n{text}");
     }
+
+    // -- held replies: one log force per event-loop round ---------
+    // A durable server on one worker with two pipelining connections:
+    // a round stages every ready connection's batch, forces the log
+    // once, and only then emits the batches' `BATCH_COMMIT`s and the
+    // held replies' `REQ_DONE`s. Replayed on its own (the drain above
+    // emptied the rings), every request must still join, and every PUT
+    // to the commit that answered it.
+    let durable = DurableKv::open(Arc::new(FaultFs::new(0x7ACE)), DurableKvConfig::default())
+        .expect("open durable store");
+    let handle = polytm_server::Server::spawn(
+        Arc::new(durable),
+        "127.0.0.1:0",
+        polytm_server::ServerConfig { workers: 1, ..polytm_server::ServerConfig::default() },
+    )
+    .expect("spawn durable loopback server");
+    let mut clients: Vec<polytm_server::Client> = (0..2)
+        .map(|_| polytm_server::Client::connect(handle.local_addr()).expect("connect"))
+        .collect();
+    const ROUNDS: u64 = 25;
+    const DEPTH: u64 = 8;
+    for round in 0..ROUNDS {
+        for (c, client) in (0u64..).zip(clients.iter_mut()) {
+            for i in 0..DEPTH {
+                let key = (c * ROUNDS + round) * DEPTH + i;
+                let put = polytm_server::Request::Put { key, value: key.to_le_bytes().to_vec() };
+                client.send(&put).expect("pipelined put");
+            }
+        }
+        for client in &mut clients {
+            for _ in 0..DEPTH {
+                let (_, resp) = client.recv().expect("put reply");
+                assert!(matches!(resp, polytm_server::Response::Written { existed: false }));
+            }
+        }
+    }
+    drop(clients);
+    handle.shutdown();
+    let held = replay_dump(&tracer.drain());
+    assert_eq!(
+        (held.unmatched_done, held.unclosed_recv, held.orphan_commits, held.shed_open),
+        (0, 0, 0, 0),
+        "join health is all zeros"
+    );
+    assert_eq!(held.overflowed, 0);
+    let puts = 2 * ROUNDS * DEPTH;
+    assert_eq!(held.requests.len() as u64, puts, "one span per wire request");
+    assert!(held.requests.iter().all(|r| r.batch_ops > 0), "every PUT joined to its commit");
+    let committed: u64 = held.conns.values().map(|c| c.ops).sum();
+    assert_eq!((held.conns.len(), committed), (2, puts), "every PUT in one committed batch");
 }
 
 /// `trace::cause_code` as a table index, via the public names.

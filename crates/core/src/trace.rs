@@ -144,7 +144,8 @@ pub mod code {
     /// run after enqueue.
     pub const BATCH_ENQUEUE: u8 = 17;
     /// The coalescing run committed as one STM transaction (emitted
-    /// after a successful commit only). `n` = ops, `a` = connection id
+    /// after a successful commit only, and after the log force that
+    /// covers it when the store is durable). `n` = ops, `a` = connection id
     /// (`0` = untagged embedder call), `b` = first sequence in the high
     /// 32 bits | last sequence in the low 32 bits (the replay ties every
     /// enqueued request in `[first, last]` to this commit, and counts

@@ -32,5 +32,5 @@ pub mod wal;
 
 pub use error::DurabilityLost;
 pub use storage::{FaultFs, RealFs, Storage};
-pub use store::{DurabilityOutcome, DurableKv, DurableKvConfig, DurableTxn, SNAP_NAME};
+pub use store::{DurabilityOutcome, DurableKv, DurableKvConfig, DurableTxn, Staged, SNAP_NAME};
 pub use wal::{Durability, Wal, WalConfig};

@@ -9,6 +9,10 @@
 //! commit's location locks are held* — so the log's sequence order is
 //! consistent with the store's per-key serialization, and any prefix of
 //! the log replays to a state the store actually passed through.
+//! [`DurableKv::txn_logged`] then waits for the log force that covers
+//! the commit; a caller that serves several commits at once stages
+//! each with [`DurableKv::txn_staged`] and waits once, on the last
+//! ticket, with [`DurableKv::wait_durable`] — one fsync for all.
 //!
 //! ## Recovery
 //!
@@ -80,6 +84,18 @@ pub enum DurabilityOutcome {
     /// The log failed while persisting this commit. It is visible in
     /// memory but may not survive a crash; the store is now read-only.
     Lost,
+}
+
+/// Where a transaction from [`DurableKv::txn_staged`] stands before
+/// anyone waits on the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Staged {
+    /// Its fate is already known: nothing was logged, the log is in
+    /// Async mode, or the log had already failed.
+    Settled(DurabilityOutcome),
+    /// Sync mode: durable once [`DurableKv::wait_durable`] on this log
+    /// sequence number returns `Ok`.
+    Ticket(u64),
 }
 
 /// One decoded redo operation.
@@ -304,11 +320,35 @@ impl DurableKv {
     /// fate. `Err` means the store is already read-only (an earlier log
     /// failure); [`DurabilityOutcome::Lost`] means *this* call's log
     /// write failed and flipped the store read-only — the transaction
-    /// is visible in memory either way.
+    /// is visible in memory either way. This is
+    /// [`DurableKv::txn_staged`] followed by [`DurableKv::wait_durable`]
+    /// on its ticket.
     pub fn txn_logged<T>(
         &self,
-        mut f: impl FnMut(&mut DurableTxn<'_, '_, '_>) -> TxResult<T>,
+        f: impl FnMut(&mut DurableTxn<'_, '_, '_>) -> TxResult<T>,
     ) -> Result<(T, CommitInfo, DurabilityOutcome), DurabilityLost> {
+        let (value, info, staged) = self.txn_staged(f)?;
+        let outcome = match staged {
+            Staged::Settled(outcome) => outcome,
+            Staged::Ticket(seq) => match self.wait_durable(seq) {
+                Ok(()) => DurabilityOutcome::Durable,
+                Err(DurabilityLost) => DurabilityOutcome::Lost,
+            },
+        };
+        Ok((value, info, outcome))
+    }
+
+    /// Run one atomic, logged transaction and stage its redo entry, but
+    /// do not wait for the log force. In Sync mode a transaction that
+    /// logged something comes back as [`Staged::Ticket`]: it is visible
+    /// in memory, and it is durable — and may be acknowledged — only
+    /// once [`DurableKv::wait_durable`] on that ticket returns `Ok`.
+    /// Staging several transactions before one wait lets one fsync
+    /// cover them all. `Err` means the store is already read-only.
+    pub fn txn_staged<T>(
+        &self,
+        mut f: impl FnMut(&mut DurableTxn<'_, '_, '_>) -> TxResult<T>,
+    ) -> Result<(T, CommitInfo, Staged), DurabilityLost> {
         if self.read_only.load(Ordering::Acquire) {
             return Err(DurabilityLost);
         }
@@ -320,34 +360,38 @@ impl DurableKv {
         // under location locks and must never block. From here until
         // the STM run returns — committed, or read-only after any
         // number of retries — a flush leader counts this transaction
-        // as a sibling worth waiting for; the guard goes before
+        // as a sibling worth waiting for; the guard goes before any
         // `wait_durable`, where this thread may be that leader.
         let in_flight = self.wal.admit();
         let (value, info) = self.store.txn_logged(|kv| f(&mut DurableTxn { kv }));
         drop(in_flight);
-        let outcome = match info.seq {
+        let staged = match info.seq {
             // Read-only transaction (or one whose writes all vanished):
             // nothing to persist.
-            None => DurabilityOutcome::Durable,
+            None => Staged::Settled(DurabilityOutcome::Durable),
             Some(seq) => match self.mode {
-                Durability::Sync => match self.wal.wait_durable(seq) {
-                    Ok(()) => DurabilityOutcome::Durable,
-                    Err(DurabilityLost) => {
-                        self.read_only.store(true, Ordering::Release);
-                        DurabilityOutcome::Lost
-                    }
-                },
+                Durability::Sync => Staged::Ticket(seq),
                 Durability::Async => {
                     if self.wal.is_poisoned() {
                         self.read_only.store(true, Ordering::Release);
-                        DurabilityOutcome::Lost
+                        Staged::Settled(DurabilityOutcome::Lost)
                     } else {
-                        DurabilityOutcome::Pending
+                        Staged::Settled(DurabilityOutcome::Pending)
                     }
                 }
             },
         };
-        Ok((value, info, outcome))
+        Ok((value, info, staged))
+    }
+
+    /// Block until the log is durable up to `ticket` (a
+    /// [`Staged::Ticket`]), leading the group flush if nobody else is.
+    /// A failed force latches the store read-only and returns `Err`:
+    /// no transaction at or below the ticket may be acknowledged.
+    pub fn wait_durable(&self, ticket: u64) -> Result<(), DurabilityLost> {
+        self.wal.wait_durable(ticket).inspect_err(|_| {
+            self.read_only.store(true, Ordering::Release);
+        })
     }
 
     /// Run one atomic, logged transaction; collapse

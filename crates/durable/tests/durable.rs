@@ -10,8 +10,8 @@ use polytm_durable::storage::FaultFs;
 use polytm_durable::store::SNAP_TMP;
 use polytm_durable::wal::segment_name;
 use polytm_durable::{
-    Durability, DurabilityLost, DurabilityOutcome, DurableKv, DurableKvConfig, RealFs, Storage,
-    WalConfig, SNAP_NAME,
+    Durability, DurabilityLost, DurabilityOutcome, DurableKv, DurableKvConfig, RealFs, Staged,
+    Storage, WalConfig, SNAP_NAME,
 };
 use polytm_kv::{KvConfig, Value};
 
@@ -78,6 +78,37 @@ fn read_only_txns_log_nothing() {
     assert_eq!(info.seq, None, "pure reads take no log sequence number");
     assert_eq!(outcome, DurabilityOutcome::Durable);
     assert_eq!(store.wal().durable_seq(), durable_before, "no flush was needed");
+}
+
+/// Staging hands out tickets without forcing the log; one wait on the
+/// last ticket forces it once for every staged commit, and a failed
+/// force latches the store read-only.
+#[test]
+fn staged_commits_share_one_force() {
+    let fs = Arc::new(FaultFs::new(17));
+    let store = DurableKv::open(fs.clone(), small_config(Durability::Sync)).unwrap();
+    let tickets: Vec<u64> = (0..3u64)
+        .map(|k| match store.txn_staged(|tx| tx.put(k, Value::from_u64(k))).unwrap().2 {
+            Staged::Ticket(seq) => seq,
+            other => panic!("a Sync write stages a ticket, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(store.stm().stats().fsyncs, 0, "staging forces nothing");
+    assert_eq!(store.get(2).unwrap().as_u64(), Some(2), "staged commits are visible");
+    let (_, _, read) = store.txn_staged(|tx| tx.get(1)).unwrap();
+    assert_eq!(read, Staged::Settled(DurabilityOutcome::Durable), "a read owes no force");
+    store.wait_durable(*tickets.last().unwrap()).unwrap();
+    let stats = store.stm().stats();
+    assert_eq!((stats.commits_durable, stats.fsyncs), (3, 1));
+    assert!(tickets.iter().all(|&t| store.wal().durable_seq() >= t));
+
+    // The next force fails: the wait reports it and the store latches.
+    fs.arm_after(1);
+    let (_, _, staged) = store.txn_staged(|tx| tx.put(9, Value::from_u64(9))).unwrap();
+    let Staged::Ticket(seq) = staged else { panic!("expected a ticket, got {staged:?}") };
+    assert_eq!(store.wait_durable(seq), Err(DurabilityLost));
+    assert!(store.is_read_only());
+    assert!(store.txn_staged(|tx| tx.put(10, Value::from_u64(10))).is_err());
 }
 
 #[test]

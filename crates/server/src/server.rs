@@ -17,14 +17,27 @@
 //! and only then do the requests run, in order.
 //! Within the window, consecutive write requests (`PUT`, `DELETE`,
 //! `MULTI`) are admitted into a pending run and committed as **one**
-//! STM transaction ([`crate::store::ServerStore::commit_writes`]),
+//! STM transaction ([`crate::store::ServerStore::stage_writes`]),
 //! bounded by [`ServerConfig::batch_max_ops`] and
 //! [`ServerConfig::batch_max_bytes`]. Reads and read-modify ops
 //! (`GET`, `SCAN`, `CAS`, `TXN`, `PING`) are barriers: they flush the
 //! pending run first, so every response reflects a state consistent
 //! with its position in the request order. This mirrors the WAL's
-//! group commit one level up: many wire requests, one commit, one
-//! (eventual) log force.
+//! group commit one level up: many wire requests, one commit.
+//!
+//! ## One log force per round
+//!
+//! A sweep is a *round*. A durable store in Sync mode stages each
+//! batch and hands back a log ticket instead of waiting for the
+//! fsync. Once a round holds a ticket, every reply it produces is held
+//! on its connection, in request order; the worker re-polls, without
+//! waiting, the connections it has not served this round (each at most
+//! once, until none is readable), so their batches stage behind the
+//! same force; then it waits once on the highest ticket, emits the
+//! staged batches' `BATCH_COMMIT`s, and releases the held replies —
+//! every write as `ReadOnly` if the force failed. No reply byte leaves
+//! before the force that covers its round. A round that staged nothing
+//! (every round of an in-memory store) flushes in place.
 //!
 //! ## Backpressure
 //!
@@ -49,7 +62,9 @@ use crate::poll::{Interest, Poller, READ, WRITE};
 use crate::protocol::{
     decode_frame, encode_response_into, parse_request, ErrorCode, FrameEvent, Request, Response,
 };
-use crate::store::{BatchTag, ServerStore, StoreError, WriteReply, WriteRequest};
+use crate::store::{
+    emit_batch_commit, BatchTag, ServerStore, StoreError, WriteReply, WriteRequest,
+};
 
 /// Tunables for [`Server::spawn`].
 #[derive(Clone, Copy, Debug)]
@@ -326,6 +341,9 @@ struct Conn {
     /// (`Some` while stalled). Duration accumulates into
     /// [`ServerStats::backpressure_stalled_ns`] at resume or close.
     stall_start: Option<std::time::Instant>,
+    /// Replies produced while the worker's round holds a log ticket,
+    /// in request order; released after the round's force.
+    held: Vec<Held>,
 }
 
 impl Conn {
@@ -339,6 +357,7 @@ impl Conn {
             read_eof: false,
             dead: false,
             stall_start: None,
+            held: Vec::new(),
         }
     }
 
@@ -348,6 +367,12 @@ impl Conn {
 
     fn finished(&self) -> bool {
         self.dead || (self.read_eof && self.backlog() == 0 && self.in_buf.is_empty())
+    }
+
+    /// Whether a sweep may read this connection (it is live, and not
+    /// held back by backpressure).
+    fn readable(&self, config: &ServerConfig) -> bool {
+        !self.read_eof && !self.dead && self.backlog() < config.max_backlog
     }
 }
 
@@ -384,6 +409,52 @@ struct Window {
     run: Run,
 }
 
+/// A reply on its way out: a coalesced write's outcome, or any other
+/// response.
+enum Reply {
+    Write(WriteReply),
+    Other(Response),
+}
+
+/// A reply kept back until its round's log force (see [`Round`]).
+struct Held {
+    opcode: u8,
+    seq: u32,
+    reply: Reply,
+}
+
+/// A batch staged with a log ticket, waiting for its round's force.
+struct StagedBatch {
+    tag: BatchTag,
+    ops: u32,
+    /// Flight-recorder origins: the batch window's start, and the
+    /// commit's (`None` when no recorder is installed).
+    sweep_start: std::time::Instant,
+    commit_start: Option<std::time::Instant>,
+}
+
+/// The log force one event-loop round owes before its replies leave.
+/// A round is one sweep: the poll pass plus the re-polls that gather
+/// more connections behind the same force.
+#[derive(Default)]
+struct Round {
+    /// Highest ticket staged this round. `None` while nothing is
+    /// staged: replies then go straight to the output buffers.
+    ticket: Option<u64>,
+    /// The batches behind `ticket`, in staging order.
+    staged: Vec<StagedBatch>,
+    /// Per connection (by index), whether it was served this round.
+    served: Vec<bool>,
+}
+
+/// What every step of a sweep reads and nothing in it writes.
+struct Ctx<'a> {
+    store: &'a dyn ServerStore,
+    config: &'a ServerConfig,
+    stats: &'a ServerStats,
+    registry: Option<&'a MetricsRegistry>,
+}
+
 fn worker_loop(
     inbox: Arc<Mutex<Vec<TcpStream>>>,
     store: Arc<dyn ServerStore>,
@@ -392,10 +463,17 @@ fn worker_loop(
     stats: Arc<ServerStats>,
     registry: Option<Arc<MetricsRegistry>>,
 ) {
+    let cx = Ctx {
+        store: store.as_ref(),
+        config: &config,
+        stats: &stats,
+        registry: registry.as_deref(),
+    };
     let poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut window = Window::default();
+    let mut round = Round::default();
 
     while !stop.load(Ordering::Acquire) {
         conns.extend(inbox.lock().unwrap().drain(..).map(Conn::new));
@@ -424,7 +502,7 @@ fn worker_loop(
                         });
                     }
                 }
-                if !c.read_eof && !c.dead && !over {
+                if c.readable(&config) {
                     events |= READ;
                 }
                 if c.backlog() > 0 {
@@ -436,24 +514,52 @@ fn worker_loop(
 
         let ready = poller.wait(&interests, Duration::from_millis(25));
         let mut progressed = false;
+        round.served.clear();
+        round.served.resize(conns.len(), false);
 
-        for (conn, ready) in conns.iter_mut().zip(ready) {
+        for (i, (conn, ready)) in conns.iter_mut().zip(ready).enumerate() {
             if ready & READ != 0 && !conn.read_eof && !conn.dead {
-                progressed |= fill(conn, &mut scratch, &stats);
-                process(conn, &mut window, store.as_ref(), &config, &stats, registry.as_deref());
-                if conn.read_eof && !conn.in_buf.is_empty() {
-                    // Half-closed with a partial frame: those bytes can
-                    // never complete, so drop them and let the
-                    // connection finish once its backlog drains.
-                    conn.in_buf.clear();
-                }
+                progressed |= serve(conn, &mut scratch, &mut window, &mut round, &cx);
+                round.served[i] = true;
             }
             if conn.backlog() > 0 {
                 // Optimistic flush: fresh responses should not wait a
                 // poll round; a full kernel buffer just says
                 // `WouldBlock` and the WRITE interest wakes us later.
+                // Held replies are not in the buffer yet.
                 progressed |= flush(conn, &stats);
             }
+        }
+
+        if round.ticket.is_some() {
+            // The round owes a log force. Every connection whose window
+            // arrived meanwhile can stage behind the same one: re-poll,
+            // without waiting, the ones not served yet, each at most
+            // once, until none is readable.
+            loop {
+                let (idx, interests): (Vec<usize>, Vec<Interest>) = conns
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, c)| !round.served[i] && c.readable(&config))
+                    .map(|(i, c)| (i, Interest { fd: c.stream.as_raw_fd(), events: READ }))
+                    .unzip();
+                if idx.is_empty() {
+                    break;
+                }
+                let mut served_any = false;
+                for (i, ready) in idx.into_iter().zip(poller.wait(&interests, Duration::ZERO)) {
+                    if ready & READ != 0 {
+                        serve(&mut conns[i], &mut scratch, &mut window, &mut round, &cx);
+                        round.served[i] = true;
+                        served_any = true;
+                    }
+                }
+                if !served_any {
+                    break;
+                }
+            }
+            release(&mut conns, &mut round, &cx);
+            progressed = true;
         }
 
         // A connection that dies while stalled still owes its stall
@@ -473,6 +579,77 @@ fn worker_loop(
         }
     }
     stats.closed.fetch_add(conns.len() as u64, Ordering::Relaxed);
+}
+
+/// Read once and run the batch window it completes; returns whether
+/// any bytes arrived.
+fn serve(
+    conn: &mut Conn,
+    scratch: &mut [u8],
+    window: &mut Window,
+    round: &mut Round,
+    cx: &Ctx<'_>,
+) -> bool {
+    let got = fill(conn, scratch, cx.stats);
+    process(conn, window, round, cx);
+    if conn.read_eof && !conn.in_buf.is_empty() {
+        // Half-closed with a partial frame: those bytes can never
+        // complete, so drop them and let the connection finish once
+        // its backlog drains.
+        conn.in_buf.clear();
+    }
+    got
+}
+
+/// Pay the round's one log force, then let its held replies out: one
+/// `BATCH_COMMIT` per staged batch, then every held reply in request
+/// order — each write as `ReadOnly` if the force failed — and a flush.
+fn release(conns: &mut [Conn], round: &mut Round, cx: &Ctx<'_>) {
+    let Some(ticket) = round.ticket.take() else {
+        return;
+    };
+    let forced = cx.store.wait_durable(ticket).is_ok();
+    let flight = polytm_obs::flight::get();
+    for batch in round.staged.drain(..).filter(|_| forced) {
+        emit_batch_commit(batch.tag, batch.ops as usize);
+        settled(batch, flight, cx.stats);
+    }
+    for conn in conns.iter_mut().filter(|c| !c.held.is_empty()) {
+        let mut held = std::mem::take(&mut conn.held);
+        for Held { opcode, seq, reply } in held.drain(..) {
+            let resp = match reply {
+                Reply::Write(_) if !forced => {
+                    cx.stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
+                    Response::Error(ErrorCode::ReadOnly)
+                }
+                Reply::Write(reply) => write_response(reply),
+                Reply::Other(resp) => resp,
+            };
+            encode(conn, opcode, seq, &resp, cx);
+        }
+        conn.held = held;
+        flush(conn, cx.stats);
+    }
+}
+
+/// Count a batch whose replies may now leave, and hand it to the
+/// flight recorder if it was slow.
+fn settled(batch: StagedBatch, flight: Option<&polytm_obs::FlightRecorder>, stats: &ServerStats) {
+    stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats.batched_ops.fetch_add(u64::from(batch.ops), Ordering::Relaxed);
+    if let Some(recorder) = flight {
+        let total_ns = batch.sweep_start.elapsed().as_nanos() as u64;
+        if total_ns >= recorder.threshold_ns() {
+            recorder.record(polytm_obs::SlowSpan {
+                conn: batch.tag.conn,
+                first_seq: batch.tag.first_seq,
+                last_seq: batch.tag.last_seq,
+                ops: batch.ops,
+                total_ns,
+                commit_ns: batch.commit_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
+            });
+        }
+    }
 }
 
 /// One read per sweep, into a buffer the size of the sweep cap;
@@ -507,14 +684,7 @@ fn fill(conn: &mut Conn, scratch: &mut [u8], stats: &ServerStats) -> bool {
 
 /// Decode, hint, then execute everything in `conn.in_buf` — one batch
 /// window.
-fn process(
-    conn: &mut Conn,
-    window: &mut Window,
-    store: &dyn ServerStore,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    registry: Option<&MetricsRegistry>,
-) {
+fn process(conn: &mut Conn, window: &mut Window, round: &mut Round, cx: &Ctx<'_>) {
     // One stamp per batch window: request spans measure from here
     // (the flight recorder's `total_ns` origin).
     let sweep_start = std::time::Instant::now();
@@ -542,7 +712,7 @@ fn process(
         }
     }
     conn.in_buf.drain(..cursor);
-    stats.requests.fetch_add(frames.len() as u64, Ordering::Relaxed);
+    cx.stats.requests.fetch_add(frames.len() as u64, Ordering::Relaxed);
 
     // Hint: the window's GETs will each miss cache along the same
     // dependent chain, one after another. Telling the store all their
@@ -550,8 +720,8 @@ fn process(
     // every reply below still comes from its own `get`, in its place in
     // the request order — and a lone GET has nothing to overlap with.
     if get_keys.len() >= 2 {
-        store.warm(get_keys);
-        stats.hinted_keys.fetch_add(get_keys.len() as u64, Ordering::Relaxed);
+        cx.store.warm(get_keys);
+        cx.stats.hinted_keys.fetch_add(get_keys.len() as u64, Ordering::Relaxed);
     }
     get_keys.clear();
 
@@ -572,8 +742,8 @@ fn process(
         });
         match parsed.map(admit) {
             Err(code) => {
-                commit_run(conn, store, run, config, stats, sweep_start);
-                respond(conn, opcode, seq, &Response::Error(code), config, stats);
+                commit_run(conn, run, round, cx, sweep_start);
+                respond(conn, round, opcode, seq, Reply::Other(Response::Error(code)), cx);
             }
             Ok(Admitted::Write(w)) => {
                 run.writes.push(w);
@@ -589,23 +759,25 @@ fn process(
                         run.writes.len() as u64,
                     )
                 });
-                if run.writes.len() >= config.batch_max_ops || run.bytes >= config.batch_max_bytes {
-                    commit_run(conn, store, run, config, stats, sweep_start);
+                if run.writes.len() >= cx.config.batch_max_ops
+                    || run.bytes >= cx.config.batch_max_bytes
+                {
+                    commit_run(conn, run, round, cx, sweep_start);
                 }
             }
             Ok(Admitted::Barrier(req)) => {
-                commit_run(conn, store, run, config, stats, sweep_start);
-                let resp = execute_barrier(store, &req, config, stats, registry);
-                respond(conn, opcode, seq, &resp, config, stats);
+                commit_run(conn, run, round, cx, sweep_start);
+                let resp = execute_barrier(&req, cx);
+                respond(conn, round, opcode, seq, Reply::Other(resp), cx);
             }
         }
     }
     // End of the batch window: whatever is still pending commits now.
-    commit_run(conn, store, run, config, stats, sweep_start);
+    commit_run(conn, run, round, cx, sweep_start);
     if corrupt {
         // Everything framed ahead of the corruption was answered; the
         // stream itself cannot be resynchronised.
-        stats.corrupt_conns.fetch_add(1, Ordering::Relaxed);
+        cx.stats.corrupt_conns.fetch_add(1, Ordering::Relaxed);
         conn.dead = true;
     }
 }
@@ -625,13 +797,14 @@ fn admit(req: Request) -> Admitted {
     }
 }
 
-/// Commit the pending run as one transaction and answer each request.
+/// Stage the pending run as one transaction and answer each request.
+/// A batch that comes back with a log ticket joins the round's force
+/// (see [`release`]); one that comes back settled is counted here.
 fn commit_run(
     conn: &mut Conn,
-    store: &dyn ServerStore,
     run: &mut Run,
-    config: &ServerConfig,
-    stats: &ServerStats,
+    round: &mut Round,
+    cx: &Ctx<'_>,
     sweep_start: std::time::Instant,
 ) {
     let (Some(&(_, first_seq)), Some(&(_, last_seq))) = (run.ids.first(), run.ids.last()) else {
@@ -643,58 +816,45 @@ fn commit_run(
     // then this is one atomic load per batch, no clock reads.
     let flight = polytm_obs::flight::get();
     let commit_start = flight.map(|_| std::time::Instant::now());
-    let outcome = store.commit_writes(&run.writes, tag);
+    let outcome = cx.store.stage_writes(&run.writes, tag);
     run.writes.clear();
     match outcome {
-        Ok(replies) => {
-            let commit_ns = commit_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.batched_ops.fetch_add(run.ids.len() as u64, Ordering::Relaxed);
-            let ops = run.ids.len().min(u32::MAX as usize) as u32;
-            for ((opcode, seq), reply) in run.ids.drain(..).zip(replies) {
-                let resp = match reply {
-                    WriteReply::Written { existed } => Response::Written { existed },
-                    WriteReply::Deleted { existed } => Response::Deleted { existed },
-                    WriteReply::Applied { ops } => Response::Applied { ops },
-                };
-                respond(conn, opcode, seq, &resp, config, stats);
-            }
-            if let Some(recorder) = flight {
-                let total_ns = sweep_start.elapsed().as_nanos() as u64;
-                if total_ns >= recorder.threshold_ns() {
-                    recorder.record(polytm_obs::SlowSpan {
-                        conn: conn.id,
-                        first_seq,
-                        last_seq,
-                        ops,
-                        total_ns,
-                        commit_ns,
-                    });
+        Ok((replies, ticket)) => {
+            let batch = StagedBatch {
+                tag,
+                ops: run.ids.len().min(u32::MAX as usize) as u32,
+                sweep_start,
+                commit_start,
+            };
+            match ticket {
+                Some(ticket) => {
+                    round.ticket = Some(round.ticket.map_or(ticket, |t| t.max(ticket)));
+                    round.staged.push(batch);
                 }
+                None => settled(batch, flight, cx.stats),
+            }
+            for ((opcode, seq), reply) in run.ids.drain(..).zip(replies) {
+                respond(conn, round, opcode, seq, Reply::Write(reply), cx);
             }
         }
         Err(StoreError::ReadOnly) => {
             for (opcode, seq) in run.ids.drain(..) {
-                stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
-                respond(conn, opcode, seq, &Response::Error(ErrorCode::ReadOnly), config, stats);
+                cx.stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
+                let reply = Reply::Other(Response::Error(ErrorCode::ReadOnly));
+                respond(conn, round, opcode, seq, reply, cx);
             }
         }
     }
 }
 
 /// Execute a non-coalescable request as its own transaction.
-fn execute_barrier(
-    store: &dyn ServerStore,
-    req: &Request,
-    config: &ServerConfig,
-    stats: &ServerStats,
-    registry: Option<&MetricsRegistry>,
-) -> Response {
+fn execute_barrier(req: &Request, cx: &Ctx<'_>) -> Response {
+    let store = cx.store;
     match req {
         Request::Ping => Response::Pong,
         Request::Get { key } => Response::Value(store.get(*key)),
         Request::Scan { lo, hi, limit } => {
-            let cap = config.scan_cap.max(1);
+            let cap = cx.config.scan_cap.max(1);
             let effective = if *limit == 0 { cap } else { (*limit).min(cap) };
             let (entries, truncated) = store.scan(*lo, *hi, effective as usize);
             Response::Entries { entries, truncated }
@@ -702,19 +862,19 @@ fn execute_barrier(
         Request::Cas { key, expected, new } => match store.cas(*key, expected.as_deref(), new) {
             Ok(swapped) => Response::Swapped { swapped },
             Err(StoreError::ReadOnly) => {
-                stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
+                cx.stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
                 Response::Error(ErrorCode::ReadOnly)
             }
         },
         Request::Txn { ops } => match store.txn(ops) {
             Ok(gets) => Response::TxnResults { gets },
             Err(StoreError::ReadOnly) => {
-                stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
+                cx.stats.read_only_errors.fetch_add(1, Ordering::Relaxed);
                 Response::Error(ErrorCode::ReadOnly)
             }
         },
         Request::Stats { text } => {
-            let payload = match registry {
+            let payload = match cx.registry {
                 Some(reg) => {
                     if *text {
                         reg.exposition().into_bytes()
@@ -741,19 +901,34 @@ fn execute_barrier(
     }
 }
 
+fn write_response(reply: WriteReply) -> Response {
+    match reply {
+        WriteReply::Written { existed } => Response::Written { existed },
+        WriteReply::Deleted { existed } => Response::Deleted { existed },
+        WriteReply::Applied { ops } => Response::Applied { ops },
+    }
+}
+
+/// Answer a request: encode the reply now, or — while the round holds
+/// a log ticket — keep it back, in order, until the round's force.
+fn respond(conn: &mut Conn, round: &Round, opcode: u8, seq: u32, reply: Reply, cx: &Ctx<'_>) {
+    if round.ticket.is_some() {
+        conn.held.push(Held { opcode, seq, reply });
+        return;
+    }
+    let resp = match reply {
+        Reply::Write(reply) => write_response(reply),
+        Reply::Other(resp) => resp,
+    };
+    encode(conn, opcode, seq, &resp, cx);
+}
+
 /// Frame a response straight into the connection's output buffer
 /// (over-cap payloads go out as `TooLarge`, see
 /// [`encode_response_into`]).
-fn respond(
-    conn: &mut Conn,
-    request_op: u8,
-    seq: u32,
-    resp: &Response,
-    config: &ServerConfig,
-    stats: &ServerStats,
-) {
-    let wire_len = encode_response_into(&mut conn.out_buf, resp, request_op, seq, config.crc);
-    stats.responses.fetch_add(1, Ordering::Relaxed);
+fn encode(conn: &mut Conn, request_op: u8, seq: u32, resp: &Response, cx: &Ctx<'_>) {
+    let wire_len = encode_response_into(&mut conn.out_buf, resp, request_op, seq, cx.config.crc);
+    cx.stats.responses.fetch_add(1, Ordering::Relaxed);
     // The request span closes here: the response is encoded and
     // buffered (kernel flush time is the NET_STALL event's business,
     // not the request's).

@@ -9,8 +9,16 @@
 //! `docs/PROTOCOL.md` §6 promises: per-request replies are computed
 //! inside the same atomic commit, so a reply's `existed` bit reflects
 //! the state the batch actually observed.
+//!
+//! [`ServerStore::stage_writes`] is the same commit without the wait
+//! for the log force: a durable store returns the replies with a log
+//! ticket, and the event loop releases them only after
+//! [`ServerStore::wait_durable`] — once per round, for every batch it
+//! staged. Both have default bodies (commit and settle; nothing to
+//! wait for), so a store that implements only `commit_writes` serves
+//! exactly as before.
 
-use polytm_durable::{DurabilityLost, DurableKv};
+use polytm_durable::{DurabilityLost, DurabilityOutcome, DurableKv, Staged};
 use polytm_kv::{KvStore, Value};
 
 use crate::protocol::{TxnOp, WriteOp};
@@ -25,7 +33,7 @@ pub enum StoreError {
 }
 
 /// Wire identity of a coalesced batch, threaded from the event loop
-/// into [`ServerStore::commit_writes`] so the commit can stamp its
+/// into [`ServerStore::stage_writes`] so the commit can stamp its
 /// `BATCH_COMMIT` trace event with the connection and request range it
 /// answers. `Copy` and two words wide — threading it through the store
 /// costs nothing on the hot path.
@@ -46,12 +54,13 @@ impl BatchTag {
     pub const UNTAGGED: BatchTag = BatchTag { conn: 0, first_seq: 0, last_seq: 0 };
 }
 
-/// One `BATCH_COMMIT` event per successful coalesced commit. Emitted
-/// from inside the store — *after* the transaction's `WAIT_*` and WAL
-/// wait events, on the same thread's ring — which is exactly the order
-/// the trace replay relies on to attribute those waits to this
-/// batch's requests.
-fn emit_batch_commit(tag: BatchTag, ops: usize) {
+/// One `BATCH_COMMIT` event per successful coalesced commit, emitted
+/// once the batch is settled — *after* the transaction's `WAIT_*` and
+/// WAL wait events, on the same thread's ring — which is exactly the
+/// order the trace replay relies on to attribute those waits to this
+/// batch's requests. A batch staged with a ticket gets its event from
+/// the event loop, after the round's force.
+pub(crate) fn emit_batch_commit(tag: BatchTag, ops: usize) {
     polytm::trace::emit(|| {
         polytm::TraceEvent::new(
             polytm::trace::code::BATCH_COMMIT,
@@ -127,6 +136,28 @@ pub trait ServerStore: Send + Sync {
         batch: &[WriteRequest],
         tag: BatchTag,
     ) -> Result<Vec<WriteReply>, StoreError>;
+    /// Commit a run of admitted writes like
+    /// [`ServerStore::commit_writes`], but without waiting for the log
+    /// force: the replies may go out only after
+    /// [`ServerStore::wait_durable`] on the returned ticket succeeds.
+    /// `None` means the batch is settled — acknowledged as it stands,
+    /// its `BATCH_COMMIT` already emitted. With `Some`, the caller
+    /// emits the `BATCH_COMMIT` after the force. Staging several
+    /// batches before one wait on the highest ticket is what lets one
+    /// fsync cover them all. The default commits and settles.
+    fn stage_writes(
+        &self,
+        batch: &[WriteRequest],
+        tag: BatchTag,
+    ) -> Result<(Vec<WriteReply>, Option<u64>), StoreError> {
+        self.commit_writes(batch, tag).map(|replies| (replies, None))
+    }
+    /// Block until every batch staged with a ticket up to `ticket` is
+    /// durable. `Err` means none of them may be acknowledged. The
+    /// default has nothing to wait for.
+    fn wait_durable(&self, _ticket: u64) -> Result<(), StoreError> {
+        Ok(())
+    }
     /// Run a mixed read/write body in one atomic commit; returns the
     /// body's `Get` results in body order.
     fn txn(&self, ops: &[TxnOp]) -> Result<Vec<Option<Vec<u8>>>, StoreError>;
@@ -261,7 +292,22 @@ impl ServerStore for DurableKv {
         batch: &[WriteRequest],
         tag: BatchTag,
     ) -> Result<Vec<WriteReply>, StoreError> {
-        let replies = DurableKv::txn(self, |tx| {
+        let (replies, ticket) = self.stage_writes(batch, tag)?;
+        if let Some(ticket) = ticket {
+            ServerStore::wait_durable(self, ticket)?;
+            // Only after the durability wait: a batch the WAL never
+            // acked has no commit point to attribute waits to.
+            emit_batch_commit(tag, batch.len());
+        }
+        Ok(replies)
+    }
+
+    fn stage_writes(
+        &self,
+        batch: &[WriteRequest],
+        tag: BatchTag,
+    ) -> Result<(Vec<WriteReply>, Option<u64>), StoreError> {
+        let (replies, _, staged) = DurableKv::txn_staged(self, |tx| {
             let mut replies = Vec::with_capacity(batch.len());
             for req in batch {
                 match req {
@@ -291,10 +337,18 @@ impl ServerStore for DurableKv {
             Ok(replies)
         })
         .map_err(|DurabilityLost| StoreError::ReadOnly)?;
-        // Only after the durability wait: a batch the WAL never acked
-        // has no commit point to attribute waits to.
-        emit_batch_commit(tag, batch.len());
-        Ok(replies)
+        match staged {
+            Staged::Ticket(seq) => Ok((replies, Some(seq))),
+            Staged::Settled(DurabilityOutcome::Lost) => Err(StoreError::ReadOnly),
+            Staged::Settled(_) => {
+                emit_batch_commit(tag, batch.len());
+                Ok((replies, None))
+            }
+        }
+    }
+
+    fn wait_durable(&self, ticket: u64) -> Result<(), StoreError> {
+        DurableKv::wait_durable(self, ticket).map_err(|DurabilityLost| StoreError::ReadOnly)
     }
 
     fn txn(&self, ops: &[TxnOp]) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
