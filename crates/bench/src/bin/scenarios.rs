@@ -1,18 +1,18 @@
 //! The scenario-matrix engine: every registered backend (transactional,
 //! plus the coarse-lock control) × every workload scenario × a thread
-//! sweep, reporting throughput, latency quantiles and (for tx backends) abort
-//! ratios as machine-readable rows in `BENCH_scenarios.json`. The
-//! matrix has four wings: the set-shaped scenarios over `BACKENDS`,
-//! the YCSB-style record-store family (`ycsb-*`) over `KV_BACKENDS`,
-//! the HTAP family (`htap`) — long analytical scans concurrent with
-//! YCSB-A-style writers — over both registries, and the network
-//! front-end family (`server-kv`) — an open-loop pipelined wire
+//! sweep, reporting throughput, latency quantiles and (for tx backends)
+//! abort ratios as one JSON line per cell on stdout; progress goes to
+//! stderr. The matrix has four wings: the set-shaped scenarios over
+//! `BACKENDS`, the YCSB-style record-store family (`ycsb-*`) over
+//! `KV_BACKENDS`, the HTAP family (`htap`) — long analytical scans
+//! concurrent with YCSB-A-style writers — over both registries, and the
+//! network front-end family (`server-kv`) — an open-loop pipelined wire
 //! workload against a loopback `polytm-server` — over
 //! `SERVER_BACKENDS`.
 //!
 //! ```text
-//! cargo run --release -p polytm-bench --bin scenarios -- --label after
-//! cargo run --release -p polytm-bench --bin scenarios -- --quick --out /tmp/smoke.json
+//! cargo run --release -p polytm-bench --bin scenarios > rows.jsonl
+//! cargo run --release -p polytm-bench --bin scenarios -- --quick > /tmp/smoke.jsonl
 //! cargo run --release -p polytm-bench --bin scenarios -- --scenario htap --backend kv-sharded
 //! cargo run --release -p polytm-bench --bin scenarios -- --quick --trace /tmp/run.trace
 //! ```
@@ -21,18 +21,17 @@
 //! cell runs and writes the ring dump to `<path>` at exit; decode it
 //! with `traceview`.
 //!
-//! Rows share `BENCH_core.json`'s shape, extended with latency
-//! quantiles, per-cause abort counts over the measured window and the
-//! runner's core count; kv rows additionally carry their read-hit
-//! ratio and key space; htap rows carry scan-only latency quantiles
-//! and the number of scan-starving aborts:
+//! Every row carries latency quantiles, per-cause abort counts over the
+//! measured window and the runner's core count; kv rows add their
+//! read-hit ratio and key space, htap rows the number of scan-starving
+//! aborts, and rows of a WAL-backed store the group-commit counters:
 //!
 //! ```text
-//! {rev, label, bench, threads, cores, ops_per_sec, abort_ratio,
-//!  p50_ns, p99_ns, p999_ns,
+//! {bench, threads, cores, ops_per_sec, abort_ratio, p50_ns, p99_ns, p999_ns,
 //!  aborts_lock, aborts_validation, aborts_cut, aborts_capacity, aborts_unavailable
 //!  [, found_ratio, kv_space]
-//!  [, scan_p50_ns, scan_p99_ns, scan_p999_ns, scan_aborts]
+//!  [, scan_aborts]
+//!  [, commits_durable, group_commit_batches, fsyncs, wal_bytes, fsyncs_per_sec]
 //!  [, conns, batch_ops_per_commit, wait_stm_ns, wait_wal_ns, wait_net_ns]
 //!  [, trace_dropped]}
 //! ```
@@ -50,17 +49,16 @@
 //! `ycsb-a/kv-sharded`, `htap/kv-adaptive`,
 //! `server-kv/kv-durable-async`). For `htap/*` rows the
 //! `threads` column is the *writer* count (the sweep axis); one
-//! dedicated scanner thread runs alongside. For `server-kv/*` rows
+//! dedicated scanner thread runs alongside, and the latency quantiles
+//! are the scans'. For `server-kv/*` rows
 //! `threads` is the client *connection* count swept at a fixed total
 //! offered rate, and latency is the wire round trip measured from
 //! each request's intended (open-loop) send time. `--quick` shrinks the
-//! measured windows so CI can exercise the whole matrix in seconds;
-//! only rows from a quiet machine are trajectory data.
+//! measured windows so CI can exercise the whole matrix in seconds.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use polytm_bench::report::{append_rows, git_rev, BenchCli};
 use polytm_bench::{
     Backend, Family, KvBackend, ServerBackend, Shape, BACKENDS, KV_BACKENDS, SERVER_BACKENDS,
 };
@@ -68,16 +66,6 @@ use polytm_workload::{
     run_htap_kv, run_htap_set, run_kv_scenario_with, run_scenario_with, HtapSpec, KeyDist, KvMix,
     KvSpec, MixSchedule, OpMix, WorkloadSpec,
 };
-
-/// Scan-side columns of an HTAP row: scan-only latency quantiles plus
-/// the aborts that starve scans (registry capacity + history
-/// truncation) over the measured window.
-struct ScanFields {
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
-    aborts: u64,
-}
 
 /// Durability columns of a row whose backend commits through a WAL:
 /// the group-commit bucket over the measured window, plus the fsync
@@ -125,8 +113,9 @@ struct Row {
     aborts_by_cause: [u64; 5],
     /// KV rows only: `(found_ratio, key_space)`.
     kv: Option<(f64, u64)>,
-    /// HTAP rows only: the scan-side columns.
-    scan: Option<ScanFields>,
+    /// HTAP rows only: the aborts that starve scans (registry capacity
+    /// + history truncation) over the measured window.
+    scan_aborts: Option<u64>,
     /// Durable-backend rows only: the WAL / group-commit columns.
     durability: Option<DurabilityFields>,
     /// `server-kv` rows only: connection count and the mean number of
@@ -213,8 +202,8 @@ const SCENARIOS: &[Scenario] = &[
         dist: |space| KeyDist::Hotspot { hot_fraction: 0.8, hot_keys: (space / 64).max(1) },
     },
     Scenario {
-        // Named after the schedule constructor; earlier trajectory rows
-        // carry the old name `phased` for the same cell.
+        // Named after the schedule constructor; the historical
+        // `BENCH_scenarios.json` rows carry the old name `phased`.
         name: "phased_burst",
         // Read-heavy cruising interrupted by write bursts, cycling
         // deterministically by per-thread op index.
@@ -330,7 +319,7 @@ fn run_kv_cell(backend: &KvBackend, scenario: &KvScenario, threads: usize, k: &K
         p999_ns: m.measurement.latency.p999(),
         aborts_by_cause,
         kv: Some((m.found_ratio(), KV_KEY_SPACE)),
-        scan: None,
+        scan_aborts: None,
         durability: durability_fields(stats.as_ref(), k.sweep),
         server: None,
         trace_dropped: None,
@@ -377,7 +366,7 @@ fn run_cell(backend: &Backend, scenario: &Scenario, threads: usize, k: &Knobs) -
         p999_ns: m.latency.p999(),
         aborts_by_cause,
         kv: None,
-        scan: None,
+        scan_aborts: None,
         durability: None,
         server: None,
         trace_dropped: None,
@@ -386,8 +375,8 @@ fn run_cell(backend: &Backend, scenario: &Scenario, threads: usize, k: &Knobs) -
 
 /// Assemble the HTAP row shared by both backend families. The
 /// `threads` column records the writer count (the sweep axis); the
-/// standard latency columns equal the scan quantiles because the HTAP
-/// driver samples scans only.
+/// latency columns are the scan quantiles because the HTAP driver
+/// samples scans only.
 fn htap_row(
     bench: String,
     writers: usize,
@@ -412,12 +401,7 @@ fn htap_row(
         p999_ns: lat.p999(),
         aborts_by_cause,
         kv: None,
-        scan: Some(ScanFields {
-            p50_ns: lat.p50(),
-            p99_ns: lat.p99(),
-            p999_ns: lat.p999(),
-            aborts: scan_aborts,
-        }),
+        scan_aborts: Some(scan_aborts),
         durability: durability_fields(stats, window),
         server: None,
         trace_dropped: None,
@@ -518,30 +502,22 @@ fn run_server_cell(backend: &ServerBackend, conns: usize, k: &Knobs) -> Row {
         p999_ns: m.hist.p999(),
         aborts_by_cause: stats.aborts_by_cause().map(|(_label, count)| count),
         kv: None,
-        scan: None,
+        scan_aborts: None,
         durability: durability_fields(Some(&stats), window),
         server: Some(server),
         trace_dropped: None,
     }
 }
 
-fn render_row(rev: &str, label: &str, cores: usize, r: &Row) -> String {
+fn render_row(cores: usize, r: &Row) -> String {
     let [lock, validation, cut, capacity, unavailable] = r.aborts_by_cause;
     let kv_fields =
         r.kv.map(|(found_ratio, space)| {
             format!(",\"found_ratio\":{found_ratio:.5},\"kv_space\":{space}")
         })
         .unwrap_or_default();
-    let scan_fields = r
-        .scan
-        .as_ref()
-        .map(|s| {
-            format!(
-                ",\"scan_p50_ns\":{},\"scan_p99_ns\":{},\"scan_p999_ns\":{},\"scan_aborts\":{}",
-                s.p50_ns, s.p99_ns, s.p999_ns, s.aborts
-            )
-        })
-        .unwrap_or_default();
+    let scan_fields =
+        r.scan_aborts.map(|aborts| format!(",\"scan_aborts\":{aborts}")).unwrap_or_default();
     let durability_fields = r
         .durability
         .as_ref()
@@ -567,13 +543,38 @@ fn render_row(rev: &str, label: &str, cores: usize, r: &Row) -> String {
     let trace_fields =
         r.trace_dropped.map(|dropped| format!(",\"trace_dropped\":{dropped}")).unwrap_or_default();
     format!(
-        "  {{\"rev\":\"{rev}\",\"label\":\"{label}\",\"bench\":\"{}\",\"threads\":{},\
-         \"cores\":{cores},\
+        "{{\"bench\":\"{}\",\"threads\":{},\"cores\":{cores},\
          \"ops_per_sec\":{:.1},\"abort_ratio\":{:.5},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\
          \"aborts_lock\":{lock},\"aborts_validation\":{validation},\"aborts_cut\":{cut},\
          \"aborts_capacity\":{capacity},\"aborts_unavailable\":{unavailable}\
          {kv_fields}{scan_fields}{durability_fields}{server_fields}{trace_fields}}}",
         r.bench, r.threads, r.ops_per_sec, r.abort_ratio, r.p50_ns, r.p99_ns, r.p999_ns
+    )
+}
+
+/// The stderr progress line for one cell; the axis letter and the tail
+/// depend on the wing.
+fn progress(r: &Row) -> String {
+    let (p50, p99) = (r.p50_ns, r.p99_ns);
+    let (axis, tail) = match (r.kv, r.scan_aborts, &r.server) {
+        (_, Some(aborts), _) => {
+            ('w', format!("scan p50 {p50:>9}ns  p99 {p99:>9}ns  scan-aborts {aborts}"))
+        }
+        (Some((found, _)), ..) => {
+            ('t', format!("p50 {p50:>7}ns  p99 {p99:>8}ns  found {found:.3}"))
+        }
+        (.., Some(s)) => (
+            'c',
+            format!(
+                "p50 {p50:>7}ns  p99 {p99:>8}ns  batch {:.2} ops/commit",
+                s.batch_ops_per_commit
+            ),
+        ),
+        _ => ('t', format!("p50 {p50:>7}ns  p99 {p99:>8}ns  p999 {:>8}ns", r.p999_ns)),
+    };
+    format!(
+        "  {:<32} {axis}={:<2} {:>12.0} ops/s  abort {:.4}  {tail}",
+        r.bench, r.threads, r.ops_per_sec, r.abort_ratio
     )
 }
 
@@ -599,14 +600,24 @@ fn with_drop_delta(
     row
 }
 
+/// Value following `name` on the command line, or `default` when absent.
+fn flag(args: &[String], name: &str, default: &str) -> String {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| default.to_string())
+}
+
 fn main() {
-    let cli = BenchCli::parse("BENCH_scenarios.json");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
     // Optional axis filters (exact matches) for focused reruns.
-    let only_backend = cli.grab("--backend", "");
-    let only_scenario = cli.grab("--scenario", "");
-    let trace_out = cli.grab("--trace", "");
+    let only_backend = flag(&args, "--backend", "");
+    let only_scenario = flag(&args, "--scenario", "");
+    let trace_out = flag(&args, "--trace", "");
     let slow_us: u64 =
-        cli.grab("--slow-us", "500").parse().expect("--slow-us takes whole microseconds");
+        flag(&args, "--slow-us", "500").parse().expect("--slow-us takes whole microseconds");
     let tracer = if trace_out.is_empty() {
         None
     } else {
@@ -617,83 +628,49 @@ fn main() {
         Some(polytm_obs::RingTracer::install(1 << 16).expect("a trace sink is already installed"))
     };
 
-    let knobs = Knobs::new(cli.quick);
-    let rev = git_rev();
+    let knobs = Knobs::new(quick);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "scenarios: rev {rev}, label {:?}, mode {}, cores {cores}, out {}",
-        cli.label,
-        if cli.quick { "quick" } else { "full" },
-        cli.out
-    );
+    eprintln!("scenarios: mode {}, cores {cores}", if quick { "quick" } else { "full" });
 
-    let mut rows = Vec::new();
-    for scenario in SCENARIOS {
-        if !only_scenario.is_empty() && scenario.name != only_scenario {
-            continue;
-        }
+    let wants_scenario = |name: &str| only_scenario.is_empty() || name == only_scenario;
+    let mut rows = 0usize;
+    let mut emit = |row: Row| {
+        eprintln!("{}", progress(&row));
+        println!("{}", render_row(cores, &row));
+        rows += 1;
+    };
+    for scenario in SCENARIOS.iter().filter(|s| wants_scenario(s.name)) {
         for backend in BACKENDS {
             if !matches_filter(backend.name, backend.family, &only_backend) {
                 continue;
             }
             for &threads in knobs.threads {
-                let row = with_drop_delta(tracer, || run_cell(backend, scenario, threads, &knobs));
-                eprintln!(
-                    "  {:<32} t={:<2} {:>12.0} ops/s  abort {:.4}  p50 {:>7}ns  p99 {:>8}ns  \
-                     p999 {:>8}ns",
-                    row.bench,
-                    row.threads,
-                    row.ops_per_sec,
-                    row.abort_ratio,
-                    row.p50_ns,
-                    row.p99_ns,
-                    row.p999_ns
-                );
-                rows.push(row);
+                emit(with_drop_delta(tracer, || run_cell(backend, scenario, threads, &knobs)));
             }
         }
     }
 
     // The record-store (YCSB) wing of the matrix.
-    for scenario in KV_SCENARIOS {
-        if !only_scenario.is_empty() && scenario.name != only_scenario {
-            continue;
-        }
+    for scenario in KV_SCENARIOS.iter().filter(|s| wants_scenario(s.name)) {
         for backend in KV_BACKENDS {
             if !matches_filter(backend.name, backend.family, &only_backend) {
                 continue;
             }
             for &threads in knobs.threads {
-                let row =
-                    with_drop_delta(tracer, || run_kv_cell(backend, scenario, threads, &knobs));
-                let (found, _) = row.kv.expect("kv cell rows carry kv fields");
-                eprintln!(
-                    "  {:<32} t={:<2} {:>12.0} ops/s  abort {:.4}  p50 {:>7}ns  p99 {:>8}ns  \
-                     found {:.3}",
-                    row.bench,
-                    row.threads,
-                    row.ops_per_sec,
-                    row.abort_ratio,
-                    row.p50_ns,
-                    row.p99_ns,
-                    found
-                );
-                rows.push(row);
+                emit(with_drop_delta(tracer, || run_kv_cell(backend, scenario, threads, &knobs)));
             }
         }
     }
 
     // The HTAP wing: long scans under write churn, over both
     // registries. `threads` sweeps the writer count.
-    if only_scenario.is_empty() || only_scenario == HTAP_SCENARIO {
-        let mut htap_rows = Vec::new();
+    if wants_scenario(HTAP_SCENARIO) {
         for backend in BACKENDS {
             if !matches_filter(backend.name, backend.family, &only_backend) {
                 continue;
             }
             for &writers in knobs.threads {
-                htap_rows
-                    .push(with_drop_delta(tracer, || run_htap_set_cell(backend, writers, &knobs)));
+                emit(with_drop_delta(tracer, || run_htap_set_cell(backend, writers, &knobs)));
             }
         }
         for backend in KV_BACKENDS {
@@ -701,61 +678,30 @@ fn main() {
                 continue;
             }
             for &writers in knobs.threads {
-                htap_rows
-                    .push(with_drop_delta(tracer, || run_htap_kv_cell(backend, writers, &knobs)));
+                emit(with_drop_delta(tracer, || run_htap_kv_cell(backend, writers, &knobs)));
             }
-        }
-        for row in htap_rows {
-            let scan = row.scan.as_ref().expect("htap rows carry scan fields");
-            eprintln!(
-                "  {:<32} w={:<2} {:>12.0} ops/s  abort {:.4}  scan p50 {:>9}ns  p99 {:>9}ns  \
-                 scan-aborts {}",
-                row.bench,
-                row.threads,
-                row.ops_per_sec,
-                row.abort_ratio,
-                scan.p50_ns,
-                scan.p99_ns,
-                scan.aborts
-            );
-            rows.push(row);
         }
     }
 
     // The network-front-end wing: the open-loop wire workload against
     // a loopback server. `threads` sweeps the connection count at
     // fixed total offered rate.
-    if only_scenario.is_empty() || only_scenario == SERVER_SCENARIO {
+    if wants_scenario(SERVER_SCENARIO) {
         for backend in SERVER_BACKENDS {
             if !matches_filter(backend.name, backend.family, &only_backend) {
                 continue;
             }
             for &conns in knobs.server_conns {
-                let row = with_drop_delta(tracer, || run_server_cell(backend, conns, &knobs));
-                let server = row.server.as_ref().expect("server rows carry server fields");
-                eprintln!(
-                    "  {:<32} c={:<2} {:>12.0} ops/s  abort {:.4}  p50 {:>7}ns  p99 {:>8}ns  \
-                     batch {:.2} ops/commit",
-                    row.bench,
-                    server.conns,
-                    row.ops_per_sec,
-                    row.abort_ratio,
-                    row.p50_ns,
-                    row.p99_ns,
-                    server.batch_ops_per_commit
-                );
-                rows.push(row);
+                emit(with_drop_delta(tracer, || run_server_cell(backend, conns, &knobs)));
             }
         }
     }
 
-    if rows.is_empty() {
-        eprintln!("scenarios: filters matched nothing; no rows written");
+    if rows == 0 {
+        eprintln!("scenarios: filters matched nothing; no rows printed");
         std::process::exit(2);
     }
-    let lines: Vec<String> = rows.iter().map(|r| render_row(&rev, &cli.label, cores, r)).collect();
-    append_rows(&cli.out, &lines, cli.fresh);
-    eprintln!("scenarios: wrote {} rows to {}", lines.len(), cli.out);
+    eprintln!("scenarios: printed {rows} rows");
 
     if let Some(t) = tracer {
         let dump = t.drain();

@@ -1,8 +1,8 @@
-//! Regenerate the experiment tables (E1–E10 in DESIGN.md).
+//! Regenerate the experiment tables (E1–E10 and `micro` in DESIGN.md).
 //!
 //! ```text
 //! cargo run --release -p polytm-bench --bin tables -- all
-//! cargo run --release -p polytm-bench --bin tables -- e1 e4
+//! cargo run --release -p polytm-bench --bin tables -- e1 e4 micro
 //! POLYTM_BENCH_FULL=1 cargo run --release -p polytm-bench --bin tables -- all
 //! ```
 
@@ -20,7 +20,7 @@ fn main() {
         match run_experiment(id, &profile) {
             Some(report) => println!("{report}"),
             None => {
-                eprintln!("unknown experiment {id:?}; valid: e1..e10, all");
+                eprintln!("unknown experiment {id:?}; valid: e1..e10, micro, all");
                 std::process::exit(2);
             }
         }

@@ -1,8 +1,8 @@
-//! E1–E10: one function per experiment in `DESIGN.md` §5, each returning
-//! its rendered report.
+//! E1–E10 and `micro`: one function per experiment in `DESIGN.md` §5,
+//! each returning its rendered report.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use polytm::{
     Backoff, ConflictArbiter, Greedy, NestingPolicy, Semantics, Stm, StmConfig, Suicide, TxParams,
@@ -448,7 +448,92 @@ pub fn e10_contention_managers(profile: &Profile) -> String {
     t.render()
 }
 
-/// Run one experiment by id ("e1".."e10") or "all"; returns the report.
+/// Run `op` single-threaded for the profile's window (after its warmup)
+/// and return completed ops/second.
+fn time_ops(profile: &Profile, mut op: impl FnMut()) -> f64 {
+    let warm = Instant::now();
+    while warm.elapsed() < profile.warmup {
+        op();
+    }
+    let start = Instant::now();
+    let mut ops = 0u64;
+    // Read the clock once per batch so it does not dominate
+    // sub-microsecond transactions.
+    loop {
+        for _ in 0..64 {
+            op();
+        }
+        ops += 64;
+        if start.elapsed() >= profile.duration {
+            break;
+        }
+    }
+    ops as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Micro — single-thread transaction cost per semantics: the empty
+/// transaction's begin/commit floor, the per-read cost of a 32-read
+/// chain, a single-var read-modify-write and a 16-location write commit.
+pub fn micro_single_thread(profile: &Profile) -> String {
+    let mut t = Table::new(
+        "micro: single-thread transaction cost",
+        &["transaction", "semantics", "txns/s", "ns/txn"],
+    );
+    let mut row = |shape: &str, sem: &str, rate: f64| {
+        t.row(&[
+            shape.to_string(),
+            sem.to_string(),
+            format!("{rate:.0}"),
+            format!("{:.1}", 1e9 / rate),
+        ]);
+    };
+    for (name, sem) in [("opaque", Semantics::Opaque), ("irrevocable", Semantics::Irrevocable)] {
+        let stm = Stm::new();
+        let rate = time_ops(profile, || {
+            stm.run(TxParams::new(sem), |_tx| Ok(std::hint::black_box(0u64)));
+        });
+        row("empty", name, rate);
+    }
+    for (name, sem) in [
+        ("opaque", Semantics::Opaque),
+        ("elastic(8)", Semantics::Elastic { window: 8 }),
+        ("snapshot", Semantics::Snapshot),
+    ] {
+        let stm = Stm::new();
+        let vars: Vec<_> = (0..32).map(|i| stm.new_tvar(i as i64)).collect();
+        let rate = time_ops(profile, || {
+            stm.run(TxParams::new(sem), |tx| {
+                let mut acc = 0i64;
+                for v in &vars {
+                    acc += v.read(tx)?;
+                }
+                Ok(std::hint::black_box(acc))
+            });
+        });
+        row("32 reads", name, rate);
+    }
+    let stm = Stm::new();
+    let x = stm.new_tvar(0u64);
+    let rate = time_ops(profile, || {
+        stm.run(TxParams::default(), |tx| x.modify(tx, |v| v + 1));
+    });
+    row("1-var RMW", "opaque", rate);
+    let stm = Stm::new();
+    let vars: Vec<_> = (0..16).map(|_| stm.new_tvar(0i64)).collect();
+    let rate = time_ops(profile, || {
+        stm.run(TxParams::default(), |tx| {
+            for v in &vars {
+                v.modify(tx, |x| x + 1)?;
+            }
+            Ok(())
+        });
+    });
+    row("16-var write", "opaque", rate);
+    t.render()
+}
+
+/// Run one experiment by id ("e1".."e10", "micro") or "all"; returns the
+/// report.
 pub fn run_experiment(id: &str, profile: &Profile) -> Option<String> {
     let out = match id {
         "e1" => e1_figure1(),
@@ -461,9 +546,10 @@ pub fn run_experiment(id: &str, profile: &Profile) -> Option<String> {
         "e8" => e8_nesting_policies(profile),
         "e9" => e9_snapshot_scans(profile),
         "e10" => e10_contention_managers(profile),
+        "micro" => micro_single_thread(profile),
         "all" => {
             let mut all = String::new();
-            for id in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"] {
+            for id in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "micro"] {
                 all.push_str(&run_experiment(id, profile).expect("known id"));
                 all.push('\n');
             }

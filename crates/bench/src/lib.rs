@@ -1,11 +1,12 @@
 //! # polytm-bench — the experiment harness
 //!
-//! One entry point per experiment in `DESIGN.md` (E1–E10), each
-//! regenerating the corresponding table/figure. Run them all with
+//! One entry point per experiment in `DESIGN.md` (E1–E10 and the
+//! single-thread `micro` table), each regenerating the corresponding
+//! table/figure. Run them all with
 //! `cargo run --release -p polytm-bench --bin tables -- all`, or a single
-//! one with e.g. `-- e4`. The binaries under `src/bin` are the scenario
-//! matrix (`scenarios`), the committed perf trajectory (`perfsuite`) and
-//! the trace and row tooling (`traceview` over [`replay`], `benchlint`).
+//! one with e.g. `-- e4`. The other binaries under `src/bin` are the
+//! scenario matrix (`scenarios`, one JSON line per cell) and the trace
+//! replay (`traceview` over [`replay`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -13,7 +14,6 @@
 pub mod adapters;
 pub mod experiments;
 pub mod replay;
-pub mod report;
 
 pub use adapters::{
     make_hash_impl, make_list_impl, AdaptiveHashSet, AdaptiveListSet, Backend, BackendInstance,

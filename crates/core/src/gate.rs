@@ -104,6 +104,11 @@ pub(crate) struct IrrevGate {
     /// contention-manager identity (`TxMeta::birth_ts`) silently dropped
     /// out of the one path whose whole point is aging.
     oldest_waiter: CachePadded<AtomicU64>,
+    /// Times a sampler has gone round the wait loop of
+    /// [`IrrevGate::sample_rv`]: lets a test observe a sampler waiting
+    /// before it closes the era.
+    #[cfg(test)]
+    sample_waits: AtomicU64,
 }
 
 impl IrrevGate {
@@ -112,6 +117,8 @@ impl IrrevGate {
             era: AtomicU64::new(0),
             committers: (0..COMMIT_STRIPES).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             oldest_waiter: CachePadded::new(AtomicU64::new(u64::MAX)),
+            #[cfg(test)]
+            sample_waits: AtomicU64::new(0),
         }
     }
 
@@ -151,6 +158,8 @@ impl IrrevGate {
             }
             spins += 1;
             wait_start.get_or_insert_with(std::time::Instant::now);
+            #[cfg(test)]
+            self.sample_waits.fetch_add(1, Ordering::SeqCst);
             era_wait(spins);
         }
     }
@@ -331,8 +340,9 @@ mod tests {
                 assert!(wait_ns > 0, "draining the registered committer is counted as wait");
                 entered.store(true, Ordering::SeqCst);
             });
-            // Give the irrevocable thread time to reach the drain loop.
-            for _ in 0..100 {
+            // An odd era means the irrevocable thread has won the era
+            // and is draining committers; ours is still registered.
+            while gate.era() & 1 == 0 {
                 std::thread::yield_now();
             }
             assert!(!entered.load(Ordering::SeqCst), "must drain registered committers first");
@@ -354,7 +364,8 @@ mod tests {
                 assert!(wait_ns > 0, "waiting out an open era is counted");
                 done.store(true, Ordering::SeqCst);
             });
-            for _ in 0..100 {
+            // Close the era only once the sampler is seen waiting on it.
+            while gate.sample_waits.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();
             }
             assert!(!done.load(Ordering::SeqCst), "sampling must block while era is odd");
