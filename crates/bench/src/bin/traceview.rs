@@ -6,9 +6,9 @@
 //! cargo run --release -p polytm-bench --bin traceview -- /tmp/run.trace --deny-drops
 //! ```
 //!
-//! The input is the `PTRC` ring-dump file a traced run writes
-//! (`scenarios --trace <path>`, or any embedder calling
-//! `RingTracer::drain().write_file(..)`). The output is the report
+//! The input is the `PTRC` ring-dump file a traced process writes: it
+//! installs the tracer with `RingTracer::install`, runs (a server from
+//! `Server::spawn`, say), then calls `tracer.drain().write_file(path)`. The output is the report
 //! [`polytm_bench::replay`] builds in one pass over each ring:
 //! per-class timelines, abort attribution by address, WAL group-commit
 //! histograms, per-connection coalescing, advisor flips, and the

@@ -12,7 +12,7 @@ use polytm_schedule::{
     figure1_program, replay, Synchronization,
 };
 use polytm_structures::{TxCounter, TxList};
-use polytm_workload::{run_workload, KeyDist, OpMix, Table, WorkloadSpec};
+use polytm_workload::{run_workload, OpMix, Table, WorkloadSpec};
 
 use crate::adapters::{make_hash_impl, make_list_impl, HASH_IMPLS, LIST_IMPLS};
 
@@ -53,12 +53,9 @@ fn spec(profile: &Profile, threads: usize, key_space: u64, update_pct: u32) -> W
         threads,
         key_space,
         prefill: true,
-        mix: OpMix::updates(update_pct).into(),
-        dist: KeyDist::Uniform,
-        scan_span: WorkloadSpec::default_scan_span(key_space),
+        mix: OpMix::updates(update_pct),
         duration: profile.duration,
         warmup: profile.warmup,
-        record_latency: false,
         seed: 0xC0FF_EE00 + u64::from(update_pct),
     }
 }

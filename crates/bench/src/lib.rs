@@ -4,8 +4,7 @@
 //! single-thread `micro` table), each regenerating the corresponding
 //! table/figure. Run them all with
 //! `cargo run --release -p polytm-bench --bin tables -- all`, or a single
-//! one with e.g. `-- e4`. The other binaries under `src/bin` are the
-//! scenario matrix (`scenarios`, one JSON line per cell) and the trace
+//! one with e.g. `-- e4`. The other binary under `src/bin` is the trace
 //! replay (`traceview` over [`replay`]).
 
 #![warn(missing_docs)]
@@ -15,8 +14,4 @@ pub mod adapters;
 pub mod experiments;
 pub mod replay;
 
-pub use adapters::{
-    make_hash_impl, make_list_impl, AdaptiveHashSet, AdaptiveListSet, Backend, BackendInstance,
-    CoarseLockKv, Family, KvBackend, KvBackendInstance, KvStoreTable, ServerBackend,
-    ServerStoreInstance, Shape, BACKENDS, HASH_IMPLS, KV_BACKENDS, LIST_IMPLS, SERVER_BACKENDS,
-};
+pub use adapters::{make_hash_impl, make_list_impl, HASH_IMPLS, LIST_IMPLS};

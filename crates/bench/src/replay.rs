@@ -607,8 +607,10 @@ pub fn render(report: &TraceReport, top: usize) -> String {
     let reqs = &report.requests;
     let _ = writeln!(out, "\n== request waterfall ({} requests joined) ==", reqs.len());
     if reqs.is_empty() {
-        let _ =
-            writeln!(out, "(no request spans: not a server-kv trace, or REQ_* events were shed)");
+        let _ = writeln!(
+            out,
+            "(no request spans: no server ran while tracing, or REQ_* events were shed)"
+        );
     } else {
         let rows = [
             layer_row("total", reqs.iter().map(|r| r.total_ns).collect()),

@@ -7,12 +7,16 @@
 //! counters for the WAL histograms). A second, separately drained
 //! phase runs a durable server whose replies wait for one log force
 //! per event-loop round, and checks that the replay still joins every
-//! request to its commit.
+//! request to its commit. The real `traceview` binary replays the
+//! first dump too, and its documented exit codes are checked: 0 on a
+//! complete dump, 1 on a truncated one, 2 without a path, 3 when
+//! `--deny-drops` meets a dump that shed events.
 //!
 //! One `#[test]` only: `RingTracer::install` claims the process-global
 //! trace sink, so the whole oracle runs as a single scenario.
 
 use std::cell::Cell;
+use std::process::{Command, Output};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -134,13 +138,33 @@ fn traceview_report_matches_a_deterministic_oracle() {
     drop(client);
     handle.shutdown();
 
-    // Dump through the real file codec, exactly like `--trace` runs do.
-    let trace_path =
-        std::env::temp_dir().join(format!("polytm-traceview-oracle-{}.trace", std::process::id()));
-    let dump = tracer.drain();
+    // Dump through the real file codec, as any embedder does.
+    let trace_path = temp_path("trace");
+    let mut dump = tracer.drain();
     dump.write_file(&trace_path).expect("write trace dump");
     let reread = TraceDump::read_file(&trace_path).expect("reread trace dump");
-    let _ = std::fs::remove_file(&trace_path);
+
+    // -- the traceview binary's exit codes ------------------------
+    let out = traceview(&[&trace_path, "--deny-drops", "--top", "5"]);
+    assert_eq!(out.status.code(), Some(0), "a complete dump replays cleanly");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("== request waterfall (40 requests joined) =="),
+        "traceview prints the request waterfall:\n{stdout}"
+    );
+    let bytes = std::fs::read(&trace_path).expect("read trace dump");
+    let truncated_path = temp_path("truncated.trace");
+    std::fs::write(&truncated_path, &bytes[..bytes.len() - 1]).expect("write truncated dump");
+    assert_eq!(traceview(&[&truncated_path]).status.code(), Some(1), "a truncated dump is corrupt");
+    assert_eq!(traceview(&["--deny-drops"]).status.code(), Some(2), "no path is a usage error");
+    dump.rings[0].dropped = 1;
+    let dropped_path = temp_path("dropped.trace");
+    dump.write_file(&dropped_path).expect("write dump with a drop");
+    let out = traceview(&[&dropped_path, "--deny-drops"]);
+    assert_eq!(out.status.code(), Some(3), "--deny-drops refuses a dump that shed events");
+    for path in [&trace_path, &truncated_path, &dropped_path] {
+        let _ = std::fs::remove_file(path);
+    }
     assert_eq!(reread.dropped_total(), 0, "this run fits the ring with room to spare");
     let report = replay_dump(&reread);
 
@@ -296,6 +320,17 @@ fn traceview_report_matches_a_deterministic_oracle() {
     assert!(held.requests.iter().all(|r| r.batch_ops > 0), "every PUT joined to its commit");
     let committed: u64 = held.conns.values().map(|c| c.ops).sum();
     assert_eq!((held.conns.len(), committed), (2, puts), "every PUT in one committed batch");
+}
+
+/// A per-process temp file path ending in `suffix`.
+fn temp_path(suffix: &str) -> String {
+    let dir = std::env::temp_dir();
+    format!("{}/polytm-traceview-oracle-{}.{suffix}", dir.display(), std::process::id())
+}
+
+/// Run the real `traceview` binary with `args`.
+fn traceview(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_traceview")).args(args).output().expect("run traceview")
 }
 
 /// `trace::cause_code` as a table index, via the public names.

@@ -278,7 +278,7 @@ pub struct StatsSnapshot {
 impl StatsSnapshot {
     /// Total nanoseconds transaction attempts spent waiting inside the
     /// STM (era gate + arbitrated lock waits + contention backoff) —
-    /// the `wait_stm_ns` scenario column.
+    /// polybench's `core.stm_wait_ns_per_commit` numerator.
     pub fn stm_wait_ns(&self) -> u64 {
         self.wait_gate_ns + self.wait_arbitrate_ns + self.wait_clock_ns
     }

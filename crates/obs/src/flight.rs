@@ -18,8 +18,8 @@
 //! ring mutex, and by construction such requests are already tens of
 //! microseconds deep, so the lock is never on a fast path.
 //!
-//! Install-once by design, like the trace sink: scenarios and servers
-//! call [`install`] at startup; libraries only ever call [`get`].
+//! Install-once by design, like the trace sink: the embedding process
+//! calls [`install`] at startup; libraries only ever call [`get`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,7 @@
 //! A small blocking client for the `PTM1` protocol: one socket, explicit
 //! pipelining (`send` many, `recv` in order), and convenience wrappers
-//! for each opcode. This is what the loopback tests, the example, and
-//! the open-loop load generator drive the server with.
+//! for each opcode. This is what the loopback tests and the examples
+//! drive the server with.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -33,14 +33,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
-pub mod loadgen;
 pub mod poll;
 pub mod protocol;
 pub mod server;
 pub mod store;
 
 pub use client::{Client, ClientError};
-pub use loadgen::{run_load, LoadMeasurement, LoadSpec};
 pub use protocol::{ErrorCode, Request, Response, TxnOp, WriteOp};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
 pub use store::{BatchTag, ServerStore, StoreError, WriteReply, WriteRequest};

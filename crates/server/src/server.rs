@@ -113,8 +113,8 @@ pub struct ServerStats {
     /// Coalesced write commits.
     pub batches: AtomicU64,
     /// Write requests carried by those commits (`batched_ops /
-    /// batches` = mean coalescing factor, the scenarios table's
-    /// `batch_ops_per_commit` column).
+    /// batches` = mean coalescing factor,
+    /// [`ServerStats::batch_ops_per_commit`]).
     pub batched_ops: AtomicU64,
     /// Bytes read off sockets.
     pub bytes_in: AtomicU64,
@@ -125,7 +125,7 @@ pub struct ServerStats {
     /// Total nanoseconds connections spent in that state (stall entry
     /// to read-resume, accumulated at resume or close). With the edge
     /// count above this turns "it stalled" into "it stalled for 40 ms
-    /// of the run" — the `wait_net_ns` column of the scenarios table.
+    /// of the run".
     pub backpressure_stalled_ns: AtomicU64,
     /// Connections dropped for framing corruption.
     pub corrupt_conns: AtomicU64,

@@ -367,33 +367,6 @@ fn coalesced_multi_is_all_or_nothing_under_commit_aborts() {
     handle.shutdown();
 }
 
-/// The open-loop load generator: completes its schedule, records a
-/// sample for every measured op, and sees no errors against a healthy
-/// store.
-#[test]
-fn open_loop_loadgen_completes_schedule() {
-    let stm = Arc::new(Stm::new());
-    let store = Arc::new(KvStore::new(stm));
-    let handle =
-        Server::spawn(Arc::clone(&store) as Arc<dyn ServerStore>, "127.0.0.1:0", quick_config())
-            .unwrap();
-    let spec = polytm_server::LoadSpec {
-        conns: 2,
-        rate: 4_000.0,
-        duration: Duration::from_millis(150),
-        warmup: Duration::from_millis(40),
-        ..polytm_server::LoadSpec::default()
-    };
-    let m = polytm_server::run_load(handle.local_addr(), &spec).unwrap();
-    assert!(m.ops > 0, "measured window must complete operations");
-    assert_eq!(m.hist.count(), m.ops, "one latency sample per measured op");
-    assert_eq!(m.errors, 0);
-    assert!(m.throughput() > 0.0);
-    // Open-loop accounting: quantiles are well-formed (p50 <= p999).
-    assert!(m.hist.p50() <= m.hist.p999());
-    handle.shutdown();
-}
-
 /// Durability-loss degradation over the wire: after the armed fault
 /// fires, writes answer `ReadOnly` while reads keep serving.
 #[test]

@@ -108,8 +108,7 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile shorthand (the tail the scenario matrix
-    /// reports).
+    /// 99.9th percentile shorthand.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn per_thread_merge_equals_single_threaded_recording() {
-        // The driver's accounting scheme in miniature: each "thread"
+        // Per-thread accounting in miniature: each "thread"
         // records its own histogram, the main thread folds them together;
         // every reported statistic must equal a single-threaded recording
         // of the union of samples.

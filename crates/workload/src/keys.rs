@@ -1,117 +1,19 @@
-//! Key streams: uniform, zipfian and hotspot-overlay draws over
-//! `[0, space)`.
+//! Key streams: uniform draws over `[0, space)`.
 
 use crate::rng::SplitMix64;
 
-/// Distribution of keys over the key space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDist {
-    /// Every key equally likely.
-    Uniform,
-    /// Zipf with the given exponent (`s` ≈ 0.8–1.2 models typical skew:
-    /// rank-k key has probability ∝ 1/k^s).
-    Zipf(f64),
-    /// Hotspot overlay: `hot_fraction` of draws land uniformly on the
-    /// first `hot_keys` keys ("x% of ops on y keys"); the remaining
-    /// draws are uniform over the whole space.
-    Hotspot {
-        /// Fraction of draws directed at the hot set, in `[0, 1]`.
-        hot_fraction: f64,
-        /// Size of the hot set (keys `0..hot_keys`). Must be non-zero
-        /// and no larger than the key space.
-        hot_keys: u64,
-    },
-    /// YCSB's "latest" distribution: reads skew toward the most
-    /// recently inserted keys. The stream maintains a *frontier* —
-    /// initially `space`, advanced by [`KeyStream::next_insert_key`] —
-    /// and reads draw `frontier - 1 - offset`, where `offset` is
-    /// Zipf(`s`)-distributed over a recency window of `space` keys
-    /// (clamped to key 0 when the offset reaches past the frontier).
-    /// Insert-heavy workloads thus keep shifting the read mass onto the
-    /// growing tail — YCSB-D's access pattern.
-    Latest(f64),
-}
-
-/// A deterministic stream of keys.
+/// A deterministic stream of keys, each equally likely.
 #[derive(Debug, Clone)]
 pub struct KeyStream {
     rng: SplitMix64,
     space: u64,
-    dist: Dist,
-}
-
-#[derive(Debug, Clone)]
-enum Dist {
-    Uniform,
-    /// Inverse-CDF sampling over precomputed cumulative weights.
-    Zipf {
-        cdf: Vec<f64>,
-    },
-    Hotspot {
-        hot_fraction: f64,
-        hot_keys: u64,
-    },
-    /// Recency-skewed draws behind a growing insert frontier; `cdf` is
-    /// the Zipf inverse-CDF over recency *offsets* `0..space`.
-    Latest {
-        cdf: Vec<f64>,
-        /// One past the newest key this stream knows exists. Starts at
-        /// the key space (the prefilled population) and advances with
-        /// every [`KeyStream::next_insert_key`]. Per-stream state: two
-        /// threads may insert the same key (an upsert on a record
-        /// store), but every key below a stream's frontier exists, so
-        /// recency-skewed reads stay dense.
-        frontier: u64,
-    },
-}
-
-/// Inverse-CDF lookup: the first rank whose cumulative weight is at
-/// least `u`, clamped into the key space. The clamp matters on edge
-/// draws: floating-point accumulation can leave the final cumulative
-/// weight a hair below 1.0, so a `u` at or above it must still map to
-/// the last rank rather than index out of bounds.
-fn zipf_rank(cdf: &[f64], u: f64) -> u64 {
-    match cdf.binary_search_by(|w| w.partial_cmp(&u).expect("no NaN")) {
-        Ok(i) | Err(i) => (i as u64).min(cdf.len() as u64 - 1),
-    }
-}
-
-/// Normalized Zipf(`s`) cumulative weights over `n` ranks.
-fn zipf_cdf(n: u64, s: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut total = 0.0f64;
-    for k in 1..=n {
-        total += 1.0 / (k as f64).powf(s);
-        cdf.push(total);
-    }
-    for w in &mut cdf {
-        *w /= total;
-    }
-    cdf
 }
 
 impl KeyStream {
-    /// A stream drawing from `[0, space)` with the given distribution.
-    /// Zipf precomputes its CDF (O(space)); keep the key space ≤ ~1e6.
-    pub fn new(dist: KeyDist, space: u64, seed: u64) -> Self {
+    /// A stream drawing uniformly from `[0, space)`.
+    pub fn new(space: u64, seed: u64) -> Self {
         assert!(space > 0);
-        let dist = match dist {
-            KeyDist::Uniform => Dist::Uniform,
-            KeyDist::Zipf(s) => Dist::Zipf { cdf: zipf_cdf(space, s) },
-            KeyDist::Latest(s) => Dist::Latest { cdf: zipf_cdf(space, s), frontier: space },
-            KeyDist::Hotspot { hot_fraction, hot_keys } => {
-                assert!(
-                    (0.0..=1.0).contains(&hot_fraction),
-                    "hot_fraction must be in [0, 1], got {hot_fraction}"
-                );
-                assert!(
-                    hot_keys > 0 && hot_keys <= space,
-                    "hot_keys must be in 1..={space}, got {hot_keys}"
-                );
-                Dist::Hotspot { hot_fraction, hot_keys }
-            }
-        };
-        Self { rng: SplitMix64::new(seed), space, dist }
+        Self { rng: SplitMix64::new(seed), space }
     }
 
     /// Independent per-thread sub-stream.
@@ -121,55 +23,9 @@ impl KeyStream {
         s
     }
 
-    /// Next key — in `[0, space)` for the stationary distributions, in
-    /// `[0, frontier)` for [`KeyDist::Latest`] (recency-skewed: the
-    /// newest keys carry the most mass, offsets reaching past the
-    /// frontier clamp to key 0).
+    /// Next key, in `[0, space)`.
     pub fn next_key(&mut self) -> u64 {
-        match &self.dist {
-            Dist::Uniform => self.rng.next_below(self.space),
-            Dist::Zipf { cdf } => zipf_rank(cdf, self.rng.next_f64()),
-            Dist::Hotspot { hot_fraction, hot_keys } => {
-                if self.rng.next_f64() < *hot_fraction {
-                    self.rng.next_below(*hot_keys)
-                } else {
-                    self.rng.next_below(self.space)
-                }
-            }
-            Dist::Latest { cdf, frontier } => {
-                let offset = zipf_rank(cdf, self.rng.next_f64());
-                frontier.saturating_sub(1 + offset)
-            }
-        }
-    }
-
-    /// Key for an *insert* operation. Under [`KeyDist::Latest`] this is
-    /// the frontier key (the stream then advances, so subsequent reads
-    /// skew toward it); under every other distribution it is a plain
-    /// [`KeyStream::next_key`] draw.
-    pub fn next_insert_key(&mut self) -> u64 {
-        match &mut self.dist {
-            Dist::Latest { frontier, .. } => {
-                let key = *frontier;
-                *frontier += 1;
-                key
-            }
-            _ => self.next_key(),
-        }
-    }
-
-    /// One past the newest key this stream knows exists: the insert
-    /// frontier for [`KeyDist::Latest`], the key-space bound otherwise.
-    pub fn frontier(&self) -> u64 {
-        match &self.dist {
-            Dist::Latest { frontier, .. } => *frontier,
-            _ => self.space,
-        }
-    }
-
-    /// The key space bound.
-    pub fn space(&self) -> u64 {
-        self.space
+        self.rng.next_below(self.space)
     }
 }
 
@@ -179,7 +35,7 @@ mod tests {
 
     #[test]
     fn uniform_covers_space() {
-        let mut s = KeyStream::new(KeyDist::Uniform, 16, 1);
+        let mut s = KeyStream::new(16, 1);
         let mut seen = [false; 16];
         for _ in 0..2000 {
             seen[s.next_key() as usize] = true;
@@ -188,183 +44,19 @@ mod tests {
     }
 
     #[test]
-    fn zipf_skews_to_small_ranks() {
-        let mut s = KeyStream::new(KeyDist::Zipf(1.0), 1000, 2);
-        let mut low = 0u32;
-        const N: u32 = 10_000;
-        for _ in 0..N {
-            if s.next_key() < 100 {
-                low += 1;
-            }
-        }
-        // Under zipf(1.0) over 1000 keys, the first 100 ranks carry
-        // ~ H(100)/H(1000) ≈ 0.69 of the mass; uniform would give 0.1.
-        assert!(low > N / 2, "zipf skew too weak: {low}/{N} draws in the top decile");
-    }
-
-    #[test]
-    fn zipf_edge_draws_clamp_to_last_rank() {
-        // A CDF whose final cumulative weight fell short of 1.0 through
-        // floating-point accumulation: draws at or above it must land on
-        // the last rank, never out of bounds.
-        let cdf = [0.5, 0.8, 0.95]; // space = 3, last weight < 1.0
-        assert_eq!(zipf_rank(&cdf, 0.95), 2, "u exactly on the last weight");
-        assert_eq!(zipf_rank(&cdf, 0.999), 2, "u above the last weight");
-        assert_eq!(zipf_rank(&cdf, 1.0), 2, "u at the theoretical maximum");
-        // Interior draws behave as plain inverse-CDF.
-        assert_eq!(zipf_rank(&cdf, 0.0), 0);
-        assert_eq!(zipf_rank(&cdf, 0.5), 0, "u exactly on a weight selects that rank");
-        assert_eq!(zipf_rank(&cdf, 0.51), 1);
-        // And the real sampler never leaves the space even across many
-        // draws of a heavily-skewed stream.
-        let mut s = KeyStream::new(KeyDist::Zipf(0.01), 7, 11);
-        for _ in 0..10_000 {
-            assert!(s.next_key() < 7);
-        }
-    }
-
-    #[test]
-    fn hotspot_overlay_hits_hot_set_at_requested_rate() {
-        let mut s = KeyStream::new(KeyDist::Hotspot { hot_fraction: 0.8, hot_keys: 16 }, 1024, 5);
-        const N: u32 = 20_000;
-        let mut hot = 0u32;
-        for _ in 0..N {
-            if s.next_key() < 16 {
-                hot += 1;
-            }
-        }
-        // 80% directed + ~1.6% of the uniform remainder ≈ 0.803.
-        let rate = f64::from(hot) / f64::from(N);
-        assert!((0.77..0.84).contains(&rate), "hot-set hit rate {rate}");
-    }
-
-    #[test]
-    fn hotspot_cold_draws_cover_the_whole_space() {
-        let mut s = KeyStream::new(KeyDist::Hotspot { hot_fraction: 0.5, hot_keys: 4 }, 32, 6);
-        let mut seen = [false; 32];
-        for _ in 0..20_000 {
-            seen[s.next_key() as usize] = true;
-        }
-        assert!(seen.iter().all(|&x| x), "cold keys must still be drawn");
-    }
-
-    #[test]
-    #[should_panic]
-    fn hotspot_rejects_oversized_hot_set() {
-        KeyStream::new(KeyDist::Hotspot { hot_fraction: 0.5, hot_keys: 100 }, 10, 1);
-    }
-
-    #[test]
-    fn latest_reads_skew_to_the_frontier() {
-        let mut s = KeyStream::new(KeyDist::Latest(0.99), 1000, 3);
-        const N: u32 = 10_000;
-        let mut near = 0u32;
-        for _ in 0..N {
-            // Top decile of the recency window (keys 900..1000).
-            if s.next_key() >= 900 {
-                near += 1;
-            }
-        }
-        // Zipf(0.99) over 1000 offsets puts ~2/3 of the mass on the
-        // first 100 offsets; uniform would give 10%.
-        assert!(near > N / 2, "latest skew too weak: {near}/{N} draws in the newest decile");
-    }
-
-    #[test]
-    fn latest_frontier_grows_with_inserts_and_pulls_reads_along() {
-        let mut s = KeyStream::new(KeyDist::Latest(1.0), 64, 4);
-        assert_eq!(s.frontier(), 64, "frontier starts at the prefilled population");
-        // Inserts hand out consecutive fresh keys...
-        for i in 0..32 {
-            assert_eq!(s.next_insert_key(), 64 + i);
-        }
-        assert_eq!(s.frontier(), 96);
-        // ...and every read stays below the advanced frontier, with the
-        // newly inserted tail now carrying read mass.
-        let mut tail_hits = 0u32;
-        for _ in 0..5_000 {
-            let k = s.next_key();
-            assert!(k < 96, "read key {k} beyond the frontier");
-            if k >= 64 {
-                tail_hits += 1;
-            }
-        }
-        assert!(tail_hits > 1_000, "inserted tail must attract reads: {tail_hits}");
-    }
-
-    #[test]
-    fn latest_offsets_past_the_frontier_clamp_to_key_zero() {
-        // A frontier of 1 with a recency window of 8: every non-zero
-        // offset reaches past the beginning and must clamp to key 0,
-        // never wrap.
-        let mut s = KeyStream::new(KeyDist::Latest(0.01), 8, 5);
-        // Shrink is impossible (frontier only grows), so emulate the
-        // smallest case: space 1.
-        let mut tiny = KeyStream::new(KeyDist::Latest(0.5), 1, 6);
-        for _ in 0..1_000 {
-            assert_eq!(tiny.next_key(), 0);
-            assert!(s.next_key() < 8);
-        }
-    }
-
-    #[test]
-    fn latest_streams_are_deterministic_across_equal_seeds() {
-        let mut a = KeyStream::new(KeyDist::Latest(0.9), 128, 7);
-        let mut b = KeyStream::new(KeyDist::Latest(0.9), 128, 7);
-        for i in 0..500 {
-            // Interleave reads and inserts the same way on both sides.
-            if i % 10 == 0 {
-                assert_eq!(a.next_insert_key(), b.next_insert_key());
-            } else {
-                assert_eq!(a.next_key(), b.next_key());
-            }
-        }
-        // Different seeds diverge on the read stream (the insert stream
-        // is deliberately sequential).
-        let mut c = KeyStream::new(KeyDist::Latest(0.9), 128, 8);
-        let mut d = KeyStream::new(KeyDist::Latest(0.9), 128, 9);
-        let diverged = (0..100).any(|_| c.next_key() != d.next_key());
-        assert!(diverged, "distinct seeds must yield distinct read streams");
-    }
-
-    #[test]
-    fn non_latest_insert_keys_fall_back_to_plain_draws() {
-        let mut s = KeyStream::new(KeyDist::Uniform, 16, 2);
-        let mut t = KeyStream::new(KeyDist::Uniform, 16, 2);
-        for _ in 0..100 {
-            let k = s.next_insert_key();
-            assert_eq!(k, t.next_key());
-            assert!(k < 16);
-        }
-        assert_eq!(s.frontier(), 16, "stationary distributions have a fixed frontier");
-    }
-
-    #[test]
     fn streams_are_deterministic() {
-        for dist in [
-            KeyDist::Zipf(0.8),
-            KeyDist::Uniform,
-            KeyDist::Hotspot { hot_fraction: 0.9, hot_keys: 8 },
-        ] {
-            let mut a = KeyStream::new(dist, 64, 7);
-            let mut b = KeyStream::new(dist, 64, 7);
-            for _ in 0..200 {
-                assert_eq!(a.next_key(), b.next_key());
-            }
+        let mut a = KeyStream::new(64, 7);
+        let mut b = KeyStream::new(64, 7);
+        for _ in 0..200 {
+            assert_eq!(a.next_key(), b.next_key());
         }
     }
 
     #[test]
     fn keys_stay_in_range() {
-        for dist in [
-            KeyDist::Uniform,
-            KeyDist::Zipf(1.2),
-            KeyDist::Hotspot { hot_fraction: 0.7, hot_keys: 3 },
-        ] {
-            let mut s = KeyStream::new(dist, 10, 3);
-            for _ in 0..500 {
-                assert!(s.next_key() < 10);
-            }
+        let mut s = KeyStream::new(10, 3);
+        for _ in 0..500 {
+            assert!(s.next_key() < 10);
         }
     }
 }

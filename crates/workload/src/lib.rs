@@ -1,30 +1,20 @@
 //! # polytm-workload — deterministic workload generation & measurement
 //!
-//! The benchmark harness (crate `polytm-bench`) sweeps data-structure
-//! implementations across thread counts, update ratios and key
-//! distributions. This crate holds the pieces that are independent of any
-//! particular structure:
+//! The experiment tables (crate `polytm-bench`) sweep set
+//! implementations across thread counts and update ratios. This crate
+//! holds the pieces that are independent of any particular structure:
 //!
 //! * [`rng`] — a tiny splitmix64/xoshiro-style PRNG. Deliberately not the
 //!   `rand` crate: benchmark workloads must be bit-for-bit reproducible
 //!   across runs and platforms, and the generator sits on the measured
 //!   hot path, so it must be branch-light and allocation-free.
-//! * [`keys`] — uniform and zipfian key streams over a bounded key space;
+//! * [`keys`] — uniform key streams over a bounded key space;
 //! * [`mix`] — operation mixes (`contains`/`insert`/`remove` ratios);
-//! * [`driver`] — the [`driver::ConcurrentSet`] / [`driver::RangeSet`]
-//!   abstractions plus a multi-threaded timed driver with warmup,
-//!   per-thread accounting and optional per-op latency histograms;
-//! * [`kv`] — the record-store (YCSB-style) counterpart: the
-//!   [`kv::KvTable`] abstraction, [`kv::KvMix`] operation mixes with
-//!   the YCSB A–F presets, and a timed driver with read-hit accounting;
-//! * [`htap`] — dedicated-role hybrid workloads: analytical scanner
-//!   threads running long range scans concurrently with transactional
-//!   writer threads, reporting scan-only latency quantiles;
+//! * [`driver`] — the [`driver::ConcurrentSet`] abstraction plus a
+//!   multi-threaded timed driver with prefill, warmup and a measured
+//!   window;
 //! * [`hist`] — a mergeable log-bucketed latency histogram
 //!   (p50/p95/p99/p999);
-//! * [`openloop`] — target-rate (open-loop) scheduling with
-//!   coordinated-omission-safe latency accounting, used by the
-//!   `polytm-server` load generator;
 //! * [`table`] — fixed-width ASCII table and CSV emitters for the
 //!   experiment reports.
 
@@ -33,23 +23,14 @@
 
 pub mod driver;
 pub mod hist;
-pub mod htap;
 pub mod keys;
-pub mod kv;
 pub mod mix;
-pub mod openloop;
 pub mod rng;
 pub mod table;
 
-pub use driver::{
-    run_scenario, run_scenario_with, run_workload, run_workload_with, ConcurrentSet, Measurement,
-    RangeSet, WorkloadSpec,
-};
+pub use driver::{run_workload, ConcurrentSet, Measurement, WorkloadSpec};
 pub use hist::LatencyHistogram;
-pub use htap::{run_htap_kv, run_htap_set, HtapMeasurement, HtapSpec};
-pub use keys::{KeyDist, KeyStream};
-pub use kv::{run_kv_scenario, run_kv_scenario_with, KvMeasurement, KvMix, KvOp, KvSpec, KvTable};
-pub use mix::{MixCursor, MixPhase, MixSchedule, OpKind, OpMix};
-pub use openloop::{record_sample, Pacer};
+pub use keys::KeyStream;
+pub use mix::{OpKind, OpMix};
 pub use rng::SplitMix64;
 pub use table::Table;

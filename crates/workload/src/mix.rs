@@ -1,6 +1,5 @@
-//! Operation mixes: how a workload splits between `contains`, `insert`,
-//! `remove` and `range_scan` — and how that split evolves over time
-//! (phased mixes).
+//! Operation mixes: how a workload splits between `contains`, `insert`
+//! and `remove`.
 
 use crate::rng::SplitMix64;
 
@@ -13,41 +12,24 @@ pub enum OpKind {
     Insert,
     /// Removal.
     Remove,
-    /// Range scan (`range_count` over a key span) — a snapshot-shaped
-    /// read that touches many locations in one operation.
-    RangeScan,
 }
 
-/// A `contains`/`insert`/`remove`/`range_scan` ratio. Updates are split
-/// evenly between inserts and removes so the structure's size stays
+/// A `contains`/`insert`/`remove` ratio. Updates are split evenly
+/// between inserts and removes so the structure's size stays
 /// stationary — the standard microbenchmark methodology of the STM
 /// literature.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
-    /// Fraction of operations that are updates, in `[0, 1]`.
-    pub update_fraction: f64,
-    /// Fraction of operations that are range scans, in `[0, 1]`.
-    /// `update_fraction + scan_fraction` must not exceed 1; the
+    /// Fraction of operations that are updates, in `[0, 1]`; the
     /// remainder is `contains`.
-    pub scan_fraction: f64,
+    pub update_fraction: f64,
 }
 
 impl OpMix {
-    /// An `update_percent`% update mix (0 = read-only, 100 = write-only),
-    /// no range scans.
+    /// An `update_percent`% update mix (0 = read-only, 100 = write-only).
     pub fn updates(update_percent: u32) -> Self {
         assert!(update_percent <= 100);
-        Self { update_fraction: f64::from(update_percent) / 100.0, scan_fraction: 0.0 }
-    }
-
-    /// An `update_percent`% update, `scan_percent`% range-scan mix; the
-    /// rest are `contains`.
-    pub fn with_scans(update_percent: u32, scan_percent: u32) -> Self {
-        assert!(update_percent <= 100 && scan_percent <= 100 - update_percent);
-        Self {
-            update_fraction: f64::from(update_percent) / 100.0,
-            scan_fraction: f64::from(scan_percent) / 100.0,
-        }
+        Self { update_fraction: f64::from(update_percent) / 100.0 }
     }
 
     /// Draw the next operation.
@@ -57,154 +39,9 @@ impl OpMix {
             OpKind::Insert
         } else if u < self.update_fraction {
             OpKind::Remove
-        } else if u < self.update_fraction + self.scan_fraction {
-            OpKind::RangeScan
         } else {
             OpKind::Contains
         }
-    }
-}
-
-/// One phase of a phased mix: `mix` applied for `ops` consecutive
-/// operations (per thread).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MixPhase {
-    /// The mix in force during this phase.
-    pub mix: OpMix,
-    /// How many operations the phase lasts. Must be non-zero.
-    pub ops: u64,
-}
-
-/// How the operation mix evolves over a run. Phase position is a pure
-/// function of the per-thread operation index, so the schedule is
-/// deterministic and independent of wall-clock speed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MixSchedule {
-    /// The same mix for the whole run.
-    Constant(OpMix),
-    /// Cycle through the phases in order, then wrap around — e.g.
-    /// read-heavy → write-burst → read-heavy, repeating.
-    Phased(Vec<MixPhase>),
-}
-
-impl From<OpMix> for MixSchedule {
-    fn from(mix: OpMix) -> Self {
-        MixSchedule::Constant(mix)
-    }
-}
-
-impl MixSchedule {
-    /// A read-heavy / write-burst / read-heavy cycle: `calm_ops`
-    /// operations at `calm_update_percent`% updates bracketing
-    /// `burst_ops` operations at `burst_update_percent`% updates.
-    pub fn phased_burst(
-        calm_update_percent: u32,
-        calm_ops: u64,
-        burst_update_percent: u32,
-        burst_ops: u64,
-    ) -> Self {
-        MixSchedule::Phased(vec![
-            MixPhase { mix: OpMix::updates(calm_update_percent), ops: calm_ops },
-            MixPhase { mix: OpMix::updates(burst_update_percent), ops: burst_ops },
-            MixPhase { mix: OpMix::updates(calm_update_percent), ops: calm_ops },
-        ])
-    }
-
-    /// The mix in force for the operation at per-thread index `op_index`.
-    ///
-    /// # Panics
-    /// Panics when a phased schedule is empty or contains a zero-length
-    /// phase.
-    pub fn mix_at(&self, op_index: u64) -> OpMix {
-        match self {
-            MixSchedule::Constant(mix) => *mix,
-            MixSchedule::Phased(phases) => {
-                assert!(!phases.is_empty(), "phased schedule needs at least one phase");
-                let cycle: u64 = phases.iter().map(|p| p.ops).sum();
-                assert!(cycle > 0, "phases must have non-zero length");
-                let mut rem = op_index % cycle;
-                for p in phases {
-                    if rem < p.ops {
-                        return p.mix;
-                    }
-                    rem -= p.ops;
-                }
-                unreachable!("rem < sum(ops) by construction")
-            }
-        }
-    }
-
-    /// Draw the operation at per-thread index `op_index`. Convenient for
-    /// random access; the driver's hot path uses [`MixSchedule::cursor`]
-    /// instead, which walks the same sequence in O(1) per draw.
-    pub fn next_op(&self, op_index: u64, rng: &mut SplitMix64) -> OpKind {
-        self.mix_at(op_index).next_op(rng)
-    }
-
-    /// An O(1)-per-draw sequential walker over the schedule, starting at
-    /// op index 0. Validates the schedule once, here, instead of per
-    /// operation.
-    pub fn cursor(&self) -> MixCursor<'_> {
-        match self {
-            MixSchedule::Constant(mix) => {
-                MixCursor { phases: &[], phase_idx: 0, current: *mix, remaining: 0 }
-            }
-            MixSchedule::Phased(phases) => {
-                assert!(!phases.is_empty(), "phased schedule needs at least one phase");
-                assert!(phases.iter().all(|p| p.ops > 0), "phases must have non-zero length");
-                MixCursor { phases, phase_idx: 0, current: phases[0].mix, remaining: phases[0].ops }
-            }
-        }
-    }
-
-    /// True when any phase can emit [`OpKind::RangeScan`] — such
-    /// schedules need a [`crate::driver::RangeSet`] backend.
-    pub fn has_scans(&self) -> bool {
-        match self {
-            MixSchedule::Constant(mix) => mix.scan_fraction > 0.0,
-            MixSchedule::Phased(phases) => phases.iter().any(|p| p.mix.scan_fraction > 0.0),
-        }
-    }
-}
-
-/// Sequential walker over a [`MixSchedule`]: the per-op cost is one
-/// decrement and (at phase boundaries) one array step — no per-op cycle
-/// sums, keeping the measured hot path identical for constant and
-/// phased schedules. Draws the same sequence as
-/// `schedule.next_op(0..), schedule.next_op(1..), …`.
-#[derive(Debug, Clone)]
-pub struct MixCursor<'a> {
-    /// Empty for constant schedules (the cursor never advances).
-    phases: &'a [MixPhase],
-    phase_idx: usize,
-    current: OpMix,
-    /// Ops left in the current phase (unused for constant schedules).
-    remaining: u64,
-}
-
-impl MixCursor<'_> {
-    /// Index (into the schedule's phase list) of the phase the *next*
-    /// drawn operation belongs to. Always 0 for constant schedules.
-    /// Backends that adapt per phase read this through the driver's
-    /// phase notifications.
-    #[inline]
-    pub fn phase(&self) -> usize {
-        self.phase_idx
-    }
-
-    /// Draw the next operation and advance.
-    #[inline]
-    pub fn next_op(&mut self, rng: &mut SplitMix64) -> OpKind {
-        let op = self.current.next_op(rng);
-        if !self.phases.is_empty() {
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                self.phase_idx = (self.phase_idx + 1) % self.phases.len();
-                self.current = self.phases[self.phase_idx].mix;
-                self.remaining = self.phases[self.phase_idx].ops;
-            }
-        }
-        op
     }
 }
 
@@ -240,25 +77,11 @@ mod tests {
                 OpKind::Contains => c += 1,
                 OpKind::Insert => i += 1,
                 OpKind::Remove => r += 1,
-                OpKind::RangeScan => unreachable!("scan_fraction is 0"),
             }
         }
         assert!((7500..8500).contains(&c), "contains {c}");
         assert!((700..1300).contains(&i), "insert {i}");
         assert!((700..1300).contains(&r), "remove {r}");
-    }
-
-    #[test]
-    fn scan_fraction_is_roughly_respected() {
-        let mix = OpMix::with_scans(20, 10);
-        let mut rng = SplitMix64::new(4);
-        let mut scans = 0u32;
-        for _ in 0..10_000 {
-            if mix.next_op(&mut rng) == OpKind::RangeScan {
-                scans += 1;
-            }
-        }
-        assert!((700..1300).contains(&scans), "scan {scans}");
     }
 
     #[test]
@@ -269,100 +92,8 @@ mod tests {
 
     #[test]
     #[should_panic]
-    fn overcommitted_scan_mix_rejected() {
-        OpMix::with_scans(60, 50);
-    }
-
-    #[test]
-    #[should_panic]
     fn huge_update_percent_rejected_without_overflow() {
-        // u32::MAX + 2 wraps to 1 under unchecked addition; the guard
-        // must reject before any arithmetic can wrap.
-        OpMix::with_scans(u32::MAX, 2);
-    }
-
-    #[test]
-    fn phased_transitions_are_deterministic_and_exact() {
-        // 3-op phase A, 2-op phase B: op indices map to
-        // A A A B B | A A A B B | ...
-        let a = OpMix::updates(0);
-        let b = OpMix::updates(100);
-        let sched =
-            MixSchedule::Phased(vec![MixPhase { mix: a, ops: 3 }, MixPhase { mix: b, ops: 2 }]);
-        for cycle in 0..4u64 {
-            for i in 0..3 {
-                assert_eq!(sched.mix_at(cycle * 5 + i), a, "op {}", cycle * 5 + i);
-            }
-            for i in 3..5 {
-                assert_eq!(sched.mix_at(cycle * 5 + i), b, "op {}", cycle * 5 + i);
-            }
-        }
-        // Two independent walks over the schedule draw identical ops.
-        let mut r1 = SplitMix64::new(9);
-        let mut r2 = SplitMix64::new(9);
-        for i in 0..1000 {
-            assert_eq!(sched.next_op(i, &mut r1), sched.next_op(i, &mut r2));
-        }
-    }
-
-    #[test]
-    fn phased_burst_cycles_through_calm_and_burst() {
-        let sched = MixSchedule::phased_burst(5, 100, 90, 50);
-        // Mid-burst index: 100..150 within the 250-op cycle.
-        assert_eq!(sched.mix_at(120), OpMix::updates(90));
-        assert_eq!(sched.mix_at(0), OpMix::updates(5));
-        assert_eq!(sched.mix_at(200), OpMix::updates(5));
-        // Wraps.
-        assert_eq!(sched.mix_at(250 + 120), OpMix::updates(90));
-        assert!(!sched.has_scans());
-    }
-
-    #[test]
-    fn cursor_walks_the_same_sequence_as_indexed_access() {
-        for sched in [
-            MixSchedule::Constant(OpMix::with_scans(20, 10)),
-            MixSchedule::phased_burst(5, 7, 90, 3),
-            MixSchedule::Phased(vec![MixPhase { mix: OpMix::updates(50), ops: 1 }]),
-        ] {
-            let mut cursor = sched.cursor();
-            let mut r1 = SplitMix64::new(42);
-            let mut r2 = SplitMix64::new(42);
-            for i in 0..500 {
-                assert_eq!(cursor.next_op(&mut r1), sched.next_op(i, &mut r2), "op {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn cursor_phase_tracks_boundaries() {
-        let sched = MixSchedule::Phased(vec![
-            MixPhase { mix: OpMix::updates(0), ops: 3 },
-            MixPhase { mix: OpMix::updates(100), ops: 2 },
-        ]);
-        let mut cursor = sched.cursor();
-        let mut rng = SplitMix64::new(5);
-        let mut phases = Vec::new();
-        for _ in 0..10 {
-            phases.push(cursor.phase());
-            cursor.next_op(&mut rng);
-        }
-        assert_eq!(phases, vec![0, 0, 0, 1, 1, 0, 0, 0, 1, 1]);
-        // Constant schedules never leave phase 0.
-        let constant = MixSchedule::Constant(OpMix::updates(10));
-        let mut cursor = constant.cursor();
-        for _ in 0..5 {
-            assert_eq!(cursor.phase(), 0);
-            cursor.next_op(&mut rng);
-        }
-    }
-
-    #[test]
-    fn has_scans_reflects_any_phase() {
-        assert!(MixSchedule::Constant(OpMix::with_scans(10, 5)).has_scans());
-        let sched = MixSchedule::Phased(vec![
-            MixPhase { mix: OpMix::updates(10), ops: 10 },
-            MixPhase { mix: OpMix::with_scans(0, 100), ops: 1 },
-        ]);
-        assert!(sched.has_scans());
+        // The guard must reject before any arithmetic could wrap.
+        OpMix::updates(u32::MAX);
     }
 }

@@ -16,8 +16,9 @@
 //! * [`kv`] (crate `polytm-kv`) — a sharded transactional key-value
 //!   store: multi-key cross-shard transactions, snapshot range/prefix
 //!   scans, CAS, batched ingest — the YCSB-style serving workload;
-//! * [`workload`] (crate `polytm-workload`) — deterministic workload
-//!   generation and the measurement driver;
+//! * [`workload`] (crate `polytm-workload`) — deterministic uniform key
+//!   streams, operation mixes and the timed set driver behind the
+//!   experiment tables;
 //! * [`adaptive`] (crate `polytm-adaptive`) — the adaptive polymorphism
 //!   runtime: a feedback-driven advisor that observes per-class
 //!   telemetry and selects semantics and contention management live.
