@@ -108,7 +108,7 @@ pub(crate) struct IrrevGate {
     /// [`IrrevGate::sample_rv`]: lets a test observe a sampler waiting
     /// before it closes the era.
     #[cfg(test)]
-    sample_waits: AtomicU64,
+    pub(crate) sample_waits: AtomicU64,
 }
 
 impl IrrevGate {
@@ -162,6 +162,29 @@ impl IrrevGate {
             self.sample_waits.fetch_add(1, Ordering::SeqCst);
             era_wait(spins);
         }
+    }
+
+    /// Opens a descriptor-free read ([`crate::Stm::read_direct`]): the
+    /// current era if it is even, `None` while an irrevocable
+    /// transaction runs. Acquire, as in [`IrrevGate::sample_rv`]: an
+    /// even value read from a window's close makes every eager write of
+    /// that window visible to the reads that follow.
+    #[inline]
+    pub(crate) fn open_direct_read(&self) -> Option<u64> {
+        let era = self.era.load(Ordering::Acquire);
+        (era & 1 == 0).then_some(era)
+    }
+
+    /// Closes a descriptor-free read opened at `era`: true iff no
+    /// irrevocable window opened since. The reads in between end in
+    /// Acquire loads, so this load is ordered after them; if any of them
+    /// read an eager write, it synchronized-with that write, whose
+    /// era-odd store is sequenced before it, so this load sees the odd
+    /// (or a later) era and the read is thrown away — the argument of
+    /// the module docs with the register loads in the clock load's place.
+    #[inline]
+    pub(crate) fn close_direct_read(&self, era: u64) -> bool {
+        self.era.load(Ordering::Acquire) == era
     }
 
     /// Registers this thread as an in-flight writing commit, waiting out

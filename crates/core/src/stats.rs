@@ -44,10 +44,11 @@ struct StatShard {
     wait_arbitrate_ns: AtomicU64,
     wait_clock_ns: AtomicU64,
     wal_wait_ns: AtomicU64,
+    point_reads: AtomicU64,
 }
 
 impl StatShard {
-    fn counters(&self) -> [&AtomicU64; 21] {
+    fn counters(&self) -> [&AtomicU64; 22] {
         [
             &self.commits,
             &self.aborts_read_conflict,
@@ -70,6 +71,7 @@ impl StatShard {
             &self.wait_arbitrate_ns,
             &self.wait_clock_ns,
             &self.wal_wait_ns,
+            &self.point_reads,
         ]
     }
 }
@@ -95,6 +97,15 @@ impl StmStats {
 
     pub(crate) fn record_commit(&self) {
         self.shard().commits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one descriptor-free read that returned its answer (see
+    /// [`crate::Stm::read_direct`]). Not an attempt: it is neither a
+    /// commit nor an abort, and a read that falls back is counted as
+    /// the transaction it then runs.
+    #[inline]
+    pub(crate) fn record_point_read(&self) {
+        self.shard().point_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_irrevocable_commit(&self) {
@@ -208,7 +219,7 @@ impl StmStats {
         for shard in self.shards.iter() {
             // Zipped against counters() so the counter list lives in
             // exactly one place; a mismatch is a compile error here.
-            let dst: [&mut u64; 21] = [
+            let dst: [&mut u64; 22] = [
                 &mut out.commits,
                 &mut out.aborts_read_conflict,
                 &mut out.aborts_locked,
@@ -230,6 +241,7 @@ impl StmStats {
                 &mut out.wait_arbitrate_ns,
                 &mut out.wait_clock_ns,
                 &mut out.wal_wait_ns,
+                &mut out.point_reads,
             ];
             for (src, dst) in shard.counters().iter().zip(dst) {
                 *dst += src.load(Ordering::Relaxed);
@@ -273,6 +285,11 @@ pub struct StatsSnapshot {
     pub wait_arbitrate_ns: u64,
     pub wait_clock_ns: u64,
     pub wal_wait_ns: u64,
+    /// Descriptor-free reads ([`crate::Stm::read_direct`]) that
+    /// answered without a transaction. Outside the conservation law
+    /// `attempts == commits + aborts + cancels`: a point read is no
+    /// attempt, and one that falls back is counted as its transaction.
+    pub point_reads: u64,
 }
 
 impl StatsSnapshot {
@@ -345,6 +362,7 @@ impl StatsSnapshot {
             wait_arbitrate_ns: self.wait_arbitrate_ns - earlier.wait_arbitrate_ns,
             wait_clock_ns: self.wait_clock_ns - earlier.wait_clock_ns,
             wal_wait_ns: self.wal_wait_ns - earlier.wal_wait_ns,
+            point_reads: self.point_reads - earlier.point_reads,
         }
     }
 }
@@ -444,6 +462,19 @@ mod tests {
         assert_eq!(d.aborts_user_retry, 1);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn point_reads_are_counted_apart_from_commits() {
+        let s = StmStats::default();
+        s.record_point_read();
+        s.record_point_read();
+        let snap = s.snapshot();
+        assert_eq!(snap.point_reads, 2);
+        assert_eq!(snap.commits, 0, "a point read is not a commit");
+        assert_eq!(snap.delta_since(&StatsSnapshot::default()).point_reads, 2);
+        s.reset();
+        assert_eq!(s.snapshot().point_reads, 0);
     }
 
     #[test]

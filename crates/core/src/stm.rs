@@ -16,7 +16,7 @@ use crate::semantics::{NestingPolicy, Semantics};
 use crate::snapreg::SnapshotRegistry;
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::trace::{self, TraceEvent};
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{PeekGuard, TVar, TxValue};
 use crate::txn::{CommitReceipt, Transaction};
 
 /// Tuning knobs of an [`Stm`] instance.
@@ -647,6 +647,46 @@ impl Stm {
         }
     }
 
+    /// A read with no transaction: `read` loads registers with
+    /// [`TVar::peek_committed`] under one [`PeekGuard`], and its answer
+    /// is kept only if no irrevocable era was open at any point of the
+    /// read — the era word is loaded before and after, as a read
+    /// version is sampled at begin. `None` means "run the transaction
+    /// instead": `read` returned `None` (a register was locked), an era
+    /// was open or opened meanwhile, or the calling thread is inside a
+    /// transaction already.
+    ///
+    /// No descriptor, read set, validation or commit: the read is only
+    /// as consistent as what `read` makes of the registers it loads.
+    /// One register is linearizable by itself; several need an argument
+    /// of their own (`polytm-kv`'s point lookup, DESIGN.md §1).
+    /// A read that answers counts in [`StatsSnapshot::point_reads`],
+    /// never as an attempt.
+    ///
+    /// ```
+    /// use polytm::Stm;
+    ///
+    /// let stm = Stm::new();
+    /// let x = stm.new_tvar(7u64);
+    /// assert_eq!(stm.read_direct(|g| x.peek_committed(g).copied()), Some(7));
+    /// assert_eq!(stm.stats().point_reads, 1);
+    /// assert_eq!(stm.stats().commits, 0);
+    /// ```
+    #[inline]
+    pub fn read_direct<R>(&self, read: impl FnOnce(&PeekGuard) -> Option<R>) -> Option<R> {
+        if IN_TRANSACTION.with(Cell::get) {
+            return None;
+        }
+        let era = self.gate.open_direct_read()?;
+        let guard = PeekGuard::pin();
+        let answer = read(&guard)?;
+        if !self.gate.close_direct_read(era) {
+            return None;
+        }
+        self.stats.record_point_read();
+        Some(answer)
+    }
+
     /// Convenience: run a read-only snapshot transaction.
     pub fn snapshot<T, F>(&self, f: F) -> T
     where
@@ -659,5 +699,86 @@ impl Stm {
 impl Default for Stm {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::varcore::TxSlot;
+
+    /// A one-entry "shard": a table register pointing at bucket
+    /// registers, read table-then-bucket as `polytm-kv`'s point lookup
+    /// reads them.
+    fn lookup(stm: &Stm, table: &TVar<Arc<[TVar<u64>]>>) -> Option<u64> {
+        stm.read_direct(|g| table.peek_committed(g)?[0].peek_committed(g).copied())
+    }
+
+    #[test]
+    fn direct_read_refuses_a_locked_register_and_counts_only_answers() {
+        let stm = Stm::new();
+        let x = stm.new_tvar(1u64);
+        assert_eq!(stm.read_direct(|g| x.peek_committed(g).copied()), Some(1));
+        x.core().try_lock(9).expect("free");
+        assert_eq!(stm.read_direct(|g| x.peek_committed(g).copied()), None);
+        x.core().unlock_restore(0);
+        let s = stm.stats();
+        assert_eq!((s.point_reads, s.commits, s.aborts()), (1, 0, 0));
+    }
+
+    #[test]
+    fn direct_read_inside_a_transaction_defers_to_it() {
+        let stm = Stm::new();
+        let x = stm.new_tvar(1u64);
+        let inner =
+            stm.run(TxParams::default(), |_| Ok(stm.read_direct(|g| x.peek_committed(g).copied())));
+        assert_eq!(inner, None);
+        assert_eq!(stm.stats().point_reads, 0);
+    }
+
+    /// The era test, proved by order: while an irrevocable transaction
+    /// holds an eager write to the bucket, a lookup never answers. Its
+    /// direct read gives up, and its fallback transaction is seen
+    /// waiting in the era gate before the era closes; it answers after
+    /// the close, with the eager value, and `point_reads` never moves.
+    #[test]
+    fn lookup_never_answers_from_an_open_irrevocable_era() {
+        let stm = Stm::new();
+        let table: TVar<Arc<[TVar<u64>]>> = stm.new_tvar(Arc::from([stm.new_tvar(1u64)]));
+        assert_eq!(lookup(&stm, &table), Some(1));
+        let point_reads = stm.stats().point_reads;
+        let answered = AtomicBool::new(false);
+        let (direct, value) = std::thread::scope(|s| {
+            let reader = stm.run(TxParams::new(Semantics::Irrevocable), |tx| {
+                let bucket = table.read(tx)?[0].clone();
+                bucket.write(tx, 2)?; // eager: the bucket's committed head is 2 now
+                let reader = s.spawn(|| {
+                    let direct = lookup(&stm, &table);
+                    let value = direct.unwrap_or_else(|| {
+                        stm.run(TxParams::new(Semantics::elastic()), |tx| {
+                            table.read(tx)?[0].read(tx)
+                        })
+                    });
+                    answered.store(true, Ordering::SeqCst);
+                    (direct, value)
+                });
+                // Until the reader has gone round the gate's wait loop —
+                // it is held behind this era — or, wrongly, has answered.
+                while stm.gate().sample_waits.load(Ordering::SeqCst) == 0
+                    && !answered.load(Ordering::SeqCst)
+                {
+                    std::thread::yield_now();
+                }
+                assert!(!answered.load(Ordering::SeqCst), "no answer while the era is open");
+                Ok(reader)
+            });
+            reader.join().expect("reader panicked")
+        });
+        assert_eq!(direct, None, "the direct read never answers inside an era");
+        assert_eq!(value, 2, "the fallback answers after the close");
+        assert_eq!(stm.stats().point_reads, point_reads, "a fallback is not a point read");
     }
 }

@@ -62,6 +62,12 @@ impl<T: TxValue> TVar<T> {
         Self { core: Arc::new(VarCore::new(value, stm_id)) }
     }
 
+    /// The shared core, for unit tests that drive the lock word.
+    #[cfg(test)]
+    pub(crate) fn core(&self) -> &VarCore<T> {
+        &self.core
+    }
+
     /// Transactional read — the paper's `r(x)`.
     ///
     /// What "consistent" means depends on the transaction's
@@ -122,6 +128,19 @@ impl<T: TxValue> TVar<T> {
     /// ahead of a real read (`KvStore::warm`), never producing a result.
     pub fn peek<'g>(&'g self, guard: &'g PeekGuard) -> &'g T {
         self.core.peek(&guard.0)
+    }
+
+    /// The latest committed value, by reference, or `None` while a
+    /// committer holds the register's lock. Unlike [`TVar::peek`] the
+    /// read is exact: the returned value was the register's committed
+    /// value at some instant during the call (the TL2 lock-word
+    /// double-check). It carries no version and joins no transaction,
+    /// so reading several registers consistently is the caller's
+    /// business — [`crate::Stm::read_direct`] brackets such reads
+    /// against irrevocable eras.
+    #[inline]
+    pub fn peek_committed<'g>(&'g self, guard: &'g PeekGuard) -> Option<&'g T> {
+        self.core.peek_committed(&guard.0)
     }
 
     /// The version (commit timestamp) of the latest committed value.

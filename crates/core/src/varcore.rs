@@ -112,28 +112,53 @@ impl<T: TxValue> VarCore<T> {
         self as *const Self as *const () as usize
     }
 
+    /// The committed head node under the TL2 `(lockword, head,
+    /// lockword)` double-check, or `None` while the location is locked.
+    /// The node was the head throughout the interval between the two
+    /// lock-word loads: versions strictly increase, so equal unlocked
+    /// words rule out any lock/publish cycle in between.
+    #[inline]
+    fn committed_head<'g>(&'g self, guard: &'g Guard) -> Option<&'g VersionNode<T>> {
+        loop {
+            let l1 = self.lockword.load(Ordering::Acquire);
+            if l1 & LOCKED != 0 {
+                return None;
+            }
+            let head = self.head.load(Ordering::Acquire, guard);
+            if self.lockword.load(Ordering::Acquire) != l1 {
+                continue;
+            }
+            // SAFETY: `head` was read under `guard` and is never null;
+            // while the location lives (the borrow of `self`), a node is
+            // freed only by deferred destruction after it was unlinked,
+            // so the reference is valid for the lifetime of the pin.
+            // Exercised under ASan by every transactional read and, on
+            // the descriptor-free path, by
+            // `polytm-kv/tests/point_reads.rs::direct_gets_are_linearizable_beside_puts_deletes_and_doublings`.
+            let node = unsafe { head.deref() };
+            debug_assert_eq!(node.version, l1 >> 1, "head version must match lock word");
+            return Some(node);
+        }
+    }
+
     /// Optimistic read of the latest committed value: the TL2
     /// `(lockword, value, lockword)` double-check. Returns the value and
     /// the version it was committed at, or the owner of the lock if the
     /// location is being committed to right now.
+    #[inline]
     pub(crate) fn read_committed(&self, guard: &Guard) -> CommittedRead<T> {
-        loop {
-            let l1 = self.lockword.load(Ordering::Acquire);
-            if l1 & LOCKED != 0 {
-                return CommittedRead::Locked(self.owner.load(Ordering::Relaxed));
-            }
-            let head = self.head.load(Ordering::Acquire, guard);
-            let l2 = self.lockword.load(Ordering::Acquire);
-            if l1 != l2 {
-                continue;
-            }
-            // SAFETY: `head` was read under `guard`; nodes are only freed
-            // via deferred destruction after being unlinked, so the
-            // reference is valid for the lifetime of the pin.
-            let node = unsafe { head.deref() };
-            debug_assert_eq!(node.version, l1 >> 1, "head version must match lock word");
-            return CommittedRead::Value(node.value.clone(), l1 >> 1);
+        match self.committed_head(guard) {
+            Some(node) => CommittedRead::Value(node.value.clone(), node.version),
+            None => CommittedRead::Locked(self.owner.load(Ordering::Relaxed)),
         }
+    }
+
+    /// The latest committed value by reference, under the same
+    /// double-check as [`VarCore::read_committed`] but with no clone;
+    /// `None` while the location is locked.
+    #[inline]
+    pub(crate) fn peek_committed<'g>(&'g self, guard: &'g Guard) -> Option<&'g T> {
+        self.committed_head(guard).map(|node| &node.value)
     }
 
     /// The newest committed value, by reference, for as long as `guard`
@@ -147,7 +172,7 @@ impl<T: TxValue> VarCore<T> {
     /// for pins.
     pub(crate) fn peek<'g>(&'g self, guard: &'g Guard) -> &'g T {
         let head = self.head.load(Ordering::Acquire, guard);
-        // SAFETY: as in `read_committed` — `head` was read under
+        // SAFETY: as in `committed_head` — `head` was read under
         // `guard`, is never null, and while the location lives a node
         // is freed only by deferred destruction after it was unlinked,
         // so the reference is valid for the lifetime of the pin.
@@ -230,6 +255,10 @@ impl<T: TxValue> VarCore<T> {
                         // before the severing may still hold them, which
                         // is exactly what deferred destruction protects.
                         let after = unsafe { dead.deref() }.prev.load(Ordering::Relaxed, guard);
+                        // SAFETY: as above — `dead` is unlinked, and
+                        // destruction waits until every pin that could
+                        // still hold it is released. Exercised under ASan
+                        // by `tests::history_truncation_bounds_the_chain`.
                         unsafe { guard.defer_destroy(dead) };
                         dead = after;
                     }
@@ -393,6 +422,17 @@ mod tests {
         core.publish(2, 5);
         assert_eq!(value_of(&core), (2, 5));
         assert!(!core.probe().locked);
+    }
+
+    #[test]
+    fn peek_committed_sees_the_head_and_refuses_a_locked_slot() {
+        let core = VarCore::new(1i64, 0);
+        let guard = epoch::pin();
+        assert_eq!(core.peek_committed(&guard), Some(&1));
+        core.try_lock(7).unwrap();
+        assert_eq!(core.peek_committed(&guard), None, "a locked slot is never peeked");
+        core.publish(2, 5);
+        assert_eq!(core.peek_committed(&guard), Some(&2));
     }
 
     #[test]

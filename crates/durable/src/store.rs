@@ -438,6 +438,12 @@ impl DurableKv {
         self.store.get(key)
     }
 
+    /// Point read appended to `out` ([`KvStore::get_into`]); like
+    /// [`DurableKv::get`], never blocked by durability state.
+    pub fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        self.store.get_into(key, out)
+    }
+
     /// Membership probe.
     pub fn contains(&self, key: u64) -> bool {
         self.store.contains(key)

@@ -9,7 +9,8 @@
 //! registers indexed by the key's hash, a bucket being an immutable
 //! array of the records that hash there. One register per bucket and
 //! nothing else per record: `get` reads the table register and one
-//! bucket and clones the value out; `put`/`delete` copy that one small
+//! bucket and clones the value out (`get_into` copies its bytes out
+//! instead); `put`/`delete` copy that one small
 //! array with the change applied and write it back. A bucket is never
 //! full, so there is no probing, no deleted marker and no growth inside
 //! a running transaction; a put that leaves 8 entries (`MAX_BUCKET`) asks
@@ -33,10 +34,14 @@
 //!
 //! ## Per-operation semantics
 //!
-//! * `get` runs **elastic** (requested): table register, then bucket,
-//!   is a (short) search traversal, and a bucket reached through a
+//! * `get` runs **no transaction** unless its params carry an advisor
+//!   class: a descriptor-free read ([`Stm::read_direct`]) of the table
+//!   register, then the bucket. A bucket reached through a
 //!   since-replaced table is frozen at the doubling that replaced it —
-//!   a value the lookup may linearize at.
+//!   a value the lookup may linearize at (DESIGN.md §1,
+//!   "Descriptor-free point reads"). While either register is locked
+//!   or an irrevocable era is open it falls back to an **elastic**
+//!   transaction (requested), as does a classed store's `get` always.
 //! * `put`/`delete`/`cas`/`modify`/`txn` run **opaque** (requested):
 //!   a bucket write is only sound against the table it was indexed
 //!   through (a cut table read would let a write land in a bucket a
@@ -443,9 +448,50 @@ impl KvStore {
     // Top-level operations
     // ------------------------------------------------------------------
 
-    /// Point lookup (one elastic transaction by default).
+    /// Point lookup. On a store whose reads carry no advisor class (the
+    /// default [`KvParams::fixed`]) it is a descriptor-free read
+    /// ([`Stm::read_direct`]): the table register, then the bucket, and
+    /// no transaction. It runs as a transaction under `params.read`
+    /// while either register is locked or an irrevocable era is open,
+    /// and always on a classed store, whose advisor needs the telemetry.
     pub fn get(&self, key: u64) -> Option<Value> {
+        if let Some(found) = self.get_direct(key, |value| value.cloned()) {
+            return found;
+        }
         self.stm.run(self.params.read, |tx| self.get_in(tx, key))
+    }
+
+    /// [`KvStore::get`] into a buffer: appends the value's bytes to
+    /// `out` and returns `true`, or leaves `out` as it was and returns
+    /// `false` when `key` is absent. On the descriptor-free path the
+    /// bytes are copied straight out of the bucket: no `Value` clone,
+    /// and no allocation when `out` has the room.
+    pub fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        let start = out.len();
+        let append =
+            |value: Option<&Value>| value.map(|v| out.extend_from_slice(v.as_bytes())).is_some();
+        if let Some(found) = self.get_direct(key, append) {
+            return found;
+        }
+        // The direct read gave up, perhaps after appending.
+        out.truncate(start);
+        self.get(key).map(|value| out.extend_from_slice(value.as_bytes())).is_some()
+    }
+
+    /// The descriptor-free lookup behind [`KvStore::get`]: `answer`
+    /// applied to the value `key` holds, or `None` when the caller must
+    /// run the transaction instead. DESIGN.md §1 ("Descriptor-free
+    /// point reads") argues why the two unvalidated loads linearize.
+    #[inline]
+    fn get_direct<R>(&self, key: u64, answer: impl FnOnce(Option<&Value>) -> R) -> Option<R> {
+        if self.params.read.class.is_some() {
+            return None;
+        }
+        self.stm.read_direct(|guard| {
+            let table = self.shards[self.shard_of(key)].peek_committed(guard)?;
+            let bucket = table.buckets[table.index_of(key)].peek_committed(guard)?;
+            Some(answer(find(entries(bucket), key)))
+        })
     }
 
     /// Membership test.

@@ -160,6 +160,7 @@ impl MetricsSource for StmMetrics {
         push(out, "extensions", s.extensions);
         push(out, "upgrades.irrevocable", s.irrevocable_upgrades);
         push(out, "boxed_writes", s.boxed_writes);
+        push(out, "point_reads", s.point_reads);
         push(out, "wal.commits_durable", s.commits_durable);
         push(out, "wal.group_commit_batches", s.group_commit_batches);
         push(out, "wal.fsyncs", s.fsyncs);
@@ -221,12 +222,14 @@ mod tests {
                 v.write(tx, x + 1)
             });
         }
+        assert_eq!(stm.read_direct(|g| v.peek_committed(g).copied()), Some(5));
         let reg = MetricsRegistry::new();
         reg.register("stm", Arc::new(StmMetrics::new(Arc::clone(&stm))));
         let snap = reg.snapshot();
         let get = |k: &str| snap.iter().find(|(key, _)| key == k).map(|(_, v)| *v);
         assert_eq!(get("stm.commits"), Some(5.0));
         assert_eq!(get("stm.wal.fsyncs"), Some(0.0));
+        assert_eq!(get("stm.point_reads"), Some(1.0), "a direct read is no commit");
     }
 
     #[test]

@@ -54,8 +54,13 @@ pub struct EventRing {
 // SAFETY: all cross-thread slot access is ordered by the head/tail
 // acquire/release protocol described in the module docs; the roles
 // discipline (one producer, one consumer at a time) is upheld by the
-// owner per the type docs.
+// owner per the type docs. Exercised under ASan by
+// `tests/overflow.rs::fast_writer_slow_reader_never_blocks_and_never_tears`.
 unsafe impl Sync for EventRing {}
+// SAFETY: the ring owns its slots outright (plain `TraceEvent`s, no
+// borrowed or thread-bound data), so moving it to another thread moves
+// nothing a thread could still reach; the same test hands rings across
+// threads inside `Arc`s.
 unsafe impl Send for EventRing {}
 
 impl EventRing {

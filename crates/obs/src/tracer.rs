@@ -184,12 +184,14 @@ impl TraceSink for RingTracer {
         // nanoseconds since the epoch before anything observes it.
         ev.ts_ns = raw_now(self.epoch);
         // Fast path: the cached `(id, ring)` pair from the last emit.
-        // SAFETY: the pointer was cached under this tracer's id, the
-        // registry keeps the ring alive for the tracer's lifetime, and
-        // `&self` proves the tracer is alive (see FAST_RING's docs).
         let hit = FAST_RING.try_with(|c| {
             let (id, ptr) = c.get();
             if id == self.id {
+                // SAFETY: the pointer was cached under this tracer's id,
+                // the registry keeps the ring alive for the tracer's
+                // lifetime, and `&self` proves the tracer is alive (see
+                // FAST_RING's docs). Exercised under ASan by
+                // `tracer::tests::stamps_and_collects_per_thread`.
                 unsafe { (*ptr).push(ev) };
                 true
             } else {

@@ -681,9 +681,44 @@ pub fn encode_response_into(
     seq: u32,
     crc: bool,
 ) -> usize {
+    capped_frame_into(out, resp.opcode(request_op), seq, crc, |out| {
+        response_payload_into(out, resp)
+    })
+}
+
+/// [`encode_response_into`] of a `GET`'s [`Response::Value`], with the
+/// value appended in place by `read` (which returns whether the key was
+/// present and appends nothing when it was not) — the bytes go from
+/// the store to the frame with no `Vec` of their own. The frame is
+/// byte-for-byte the one `encode_response_into` builds, over-cap
+/// demotion to [`ErrorCode::TooLarge`] included.
+pub fn encode_get_reply_into(
+    out: &mut Vec<u8>,
+    request_op: u8,
+    seq: u32,
+    crc: bool,
+    read: impl FnOnce(&mut Vec<u8>) -> bool,
+) -> usize {
+    capped_frame_into(out, request_op | RESPONSE_BIT, seq, crc, |out| {
+        let tag = out.len();
+        out.push(1);
+        if !read(out) {
+            out[tag] = 0;
+        }
+    })
+}
+
+/// [`frame_into`], with a frame longer than [`MAX_RESPONSE_FRAME`] cut
+/// back and replaced by a [`ErrorCode::TooLarge`] error frame.
+fn capped_frame_into(
+    out: &mut Vec<u8>,
+    opcode: u8,
+    seq: u32,
+    crc: bool,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> usize {
     let start = out.len();
-    let len =
-        frame_into(out, resp.opcode(request_op), seq, crc, |out| response_payload_into(out, resp));
+    let len = frame_into(out, opcode, seq, crc, fill);
     if len <= MAX_RESPONSE_FRAME {
         return len;
     }
@@ -900,6 +935,25 @@ mod tests {
                 MAX_RESPONSE_FRAME
             );
             assert_eq!(out[HEADER], op::STATS | RESPONSE_BIT);
+        }
+    }
+
+    #[test]
+    fn get_reply_framed_in_place_matches_the_response_encoder() {
+        let values =
+            [None, Some(Vec::new()), Some(b"v".repeat(64)), Some(vec![7; MAX_PAYLOAD + 1])];
+        for crc in [false, true] {
+            for (seq, value) in values.iter().enumerate() {
+                let seq = seq as u32;
+                let mut want = b"unflushed".to_vec();
+                let resp = Response::Value(value.clone());
+                let want_len = encode_response_into(&mut want, &resp, op::GET, seq, crc);
+                let mut out = b"unflushed".to_vec();
+                let len = encode_get_reply_into(&mut out, op::GET, seq, crc, |out| {
+                    value.as_ref().map(|v| out.extend_from_slice(v)).is_some()
+                });
+                assert_eq!((len, &out), (want_len, &want), "{value:?}, crc {crc}");
+            }
         }
     }
 

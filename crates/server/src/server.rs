@@ -60,7 +60,8 @@ use polytm_obs::{encode_entries, MetricsRegistry, MetricsSource};
 
 use crate::poll::{Interest, Poller, READ, WRITE};
 use crate::protocol::{
-    decode_frame, encode_response_into, parse_request, ErrorCode, FrameEvent, Request, Response,
+    decode_frame, encode_get_reply_into, encode_response_into, parse_request, ErrorCode,
+    FrameEvent, Request, Response,
 };
 use crate::store::{
     emit_batch_commit, BatchTag, ServerStore, StoreError, WriteReply, WriteRequest,
@@ -767,8 +768,24 @@ fn process(conn: &mut Conn, window: &mut Window, round: &mut Round, cx: &Ctx<'_>
             }
             Ok(Admitted::Barrier(req)) => {
                 commit_run(conn, run, round, cx, sweep_start);
-                let resp = execute_barrier(&req, cx);
-                respond(conn, round, opcode, seq, Reply::Other(resp), cx);
+                match req {
+                    // A reply not held behind a log force is framed with
+                    // the value copied straight from the store.
+                    Request::Get { key } if round.ticket.is_none() => {
+                        let wire_len = encode_get_reply_into(
+                            &mut conn.out_buf,
+                            opcode,
+                            seq,
+                            cx.config.crc,
+                            |out| cx.store.get_into(key, out),
+                        );
+                        encoded(conn, opcode, seq, wire_len, cx);
+                    }
+                    req => {
+                        let resp = execute_barrier(&req, cx);
+                        respond(conn, round, opcode, seq, Reply::Other(resp), cx);
+                    }
+                }
             }
         }
     }
@@ -928,6 +945,12 @@ fn respond(conn: &mut Conn, round: &Round, opcode: u8, seq: u32, reply: Reply, c
 /// [`encode_response_into`]).
 fn encode(conn: &mut Conn, request_op: u8, seq: u32, resp: &Response, cx: &Ctx<'_>) {
     let wire_len = encode_response_into(&mut conn.out_buf, resp, request_op, seq, cx.config.crc);
+    encoded(conn, request_op, seq, wire_len, cx);
+}
+
+/// Account a reply of `wire_len` bytes just framed into the output
+/// buffer.
+fn encoded(conn: &Conn, request_op: u8, seq: u32, wire_len: usize, cx: &Ctx<'_>) {
     cx.stats.responses.fetch_add(1, Ordering::Relaxed);
     // The request span closes here: the response is encoded and
     // buffered (kernel flush time is the NET_STALL event's business,

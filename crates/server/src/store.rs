@@ -119,8 +119,16 @@ pub enum WriteReply {
 /// The storage surface the server loop needs. Object-safe so the
 /// event loop can hold `Arc<dyn ServerStore>`.
 pub trait ServerStore: Send + Sync {
-    /// Point read (runs as its own elastic/snapshot transaction).
+    /// Point read.
     fn get(&self, key: u64) -> Option<Vec<u8>>;
+    /// Point read appended to `out`: pushes the value's bytes and
+    /// returns `true`, or pushes nothing and returns `false` when `key`
+    /// is absent. The event loop frames a `GET` reply this way, with
+    /// the value written straight into the connection's output buffer.
+    /// The default copies out of [`ServerStore::get`]'s `Vec`.
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        self.get(key).map(|value| out.extend_from_slice(&value)).is_some()
+    }
     /// Snapshot scan of the half-open range `[lo, hi)`, truncated to
     /// `limit` entries. Returns the entries and whether truncation
     /// occurred.
@@ -187,6 +195,10 @@ fn truncate_scan(mut entries: Vec<(u64, Value)>, limit: usize) -> (Vec<(u64, Vec
 impl ServerStore for KvStore {
     fn get(&self, key: u64) -> Option<Vec<u8>> {
         KvStore::get(self, key).map(to_bytes)
+    }
+
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        KvStore::get_into(self, key, out)
     }
 
     fn scan(&self, lo: u64, hi: u64, limit: usize) -> (Vec<(u64, Vec<u8>)>, bool) {
@@ -265,6 +277,10 @@ impl ServerStore for KvStore {
 impl ServerStore for DurableKv {
     fn get(&self, key: u64) -> Option<Vec<u8>> {
         DurableKv::get(self, key).map(to_bytes)
+    }
+
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        DurableKv::get_into(self, key, out)
     }
 
     fn scan(&self, lo: u64, hi: u64, limit: usize) -> (Vec<(u64, Vec<u8>)>, bool) {

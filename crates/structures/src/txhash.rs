@@ -233,9 +233,10 @@ impl TxHashSet {
 
     /// Number of keys in `[lo, hi)` under **snapshot** semantics: one
     /// consistent cut over the whole directory, never aborting. A hash
-    /// table has no key order, so this walks every bucket — the point of
-    /// the scenario matrix's scan workload is exactly that contrast with
-    /// the ordered structures.
+    /// table has no key order, so this walks every bucket — the contrast
+    /// with the ordered structures, whose `range_count_snapshot` walks
+    /// only the range (polybench's `set-mixed` runs the skip list's).
+    /// Nothing outside this crate's tests calls the hash set's.
     pub fn range_count_snapshot(&self, lo: u64, hi: u64) -> usize {
         self.stm.run(self.scan_params, |tx| {
             let dir = self.dir.read(tx)?;

@@ -235,9 +235,10 @@ impl TxList {
     /// Number of keys in `[lo, hi)` under the list's scan parameters —
     /// **snapshot** semantics by default, where the scan observes one
     /// consistent cut of the list and never aborts, however hot the
-    /// list is (the scenario matrix's range-scan operation). Handles
-    /// built with weaker scan parameters trade that consistency the
-    /// same way the lock-based scans do.
+    /// list is (the operation polybench's `set-mixed` runs on the skip
+    /// list; nothing outside this crate's tests calls the list's).
+    /// Handles built with weaker scan parameters trade that consistency
+    /// the same way the lock-based scans do.
     pub fn range_count_snapshot(&self, lo: i64, hi: i64) -> usize {
         self.stm.run(self.scan_params, |tx| {
             let mut n = 0usize;

@@ -15,8 +15,8 @@
 //!   window;
 //! * [`hist`] — a mergeable log-bucketed latency histogram
 //!   (p50/p95/p99/p999);
-//! * [`table`] — fixed-width ASCII table and CSV emitters for the
-//!   experiment reports.
+//! * [`table`] — the fixed-width ASCII table the experiment reports
+//!   print.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

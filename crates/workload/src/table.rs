@@ -1,4 +1,4 @@
-//! Fixed-width ASCII tables and CSV output for experiment reports.
+//! Fixed-width ASCII tables for experiment reports.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone)]
@@ -65,29 +65,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.header.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Format ops/sec human-readably (`12.3 Mops/s`, `45.6 Kops/s`).
-pub fn fmt_throughput(ops_per_sec: f64) -> String {
-    if ops_per_sec >= 1e6 {
-        format!("{:.2} Mops/s", ops_per_sec / 1e6)
-    } else if ops_per_sec >= 1e3 {
-        format!("{:.1} Kops/s", ops_per_sec / 1e3)
-    } else {
-        format!("{ops_per_sec:.0} ops/s")
-    }
 }
 
 #[cfg(test)]
@@ -108,24 +85,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_shape() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(&["1".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n1,2\n");
-    }
-
-    #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn throughput_formatting() {
-        assert_eq!(fmt_throughput(2_500_000.0), "2.50 Mops/s");
-        assert_eq!(fmt_throughput(45_600.0), "45.6 Kops/s");
-        assert_eq!(fmt_throughput(120.0), "120 ops/s");
     }
 }
