@@ -9,6 +9,8 @@
 //! data-backed candidate for a class is adopted immediately (there is
 //! no incumbent worth protecting).
 
+use polytm::AbortCause;
+
 use crate::policy::{CmChoice, Policy, SemanticsChoice};
 use crate::telemetry::ClassTotals;
 
@@ -75,10 +77,15 @@ pub fn select(cfg: &AdvisorConfig, wrote: bool, delta: &ClassTotals, current: Po
     // capacity into the pro-Snapshot signal would be a positive feedback
     // loop: Snapshot causes capacity aborts, which would then keep
     // selecting Snapshot.
-    let optimistic_hot = (delta.aborts_lock + delta.aborts_validation + delta.aborts_cut) as f64
-        / delta.runs as f64
-        >= cfg.hot_abort_ratio;
-    let capacity_starved = delta.aborts_capacity as f64 / delta.runs as f64 >= cfg.hot_abort_ratio;
+    let aborts = &delta.aborts;
+    let lock = aborts[AbortCause::LockConflict];
+    let optimistic = aborts[AbortCause::Validation] + aborts[AbortCause::Cut];
+    let optimistic_hot = (lock + optimistic) as f64 / delta.runs as f64 >= cfg.hot_abort_ratio;
+    // Registry-capacity and history-unavailable aborts both mean "this
+    // class's snapshot bounds are starving", which is the one thing the
+    // capacity signal exists to detect, so they count together.
+    let starved = aborts[AbortCause::Capacity] + aborts[AbortCause::Unavailable];
+    let capacity_starved = starved as f64 / delta.runs as f64 >= cfg.hot_abort_ratio;
     let semantics = if wrote {
         // Writing classes may never be Snapshot (hard rule). Long
         // traversals tolerate concurrent updates elastically; short
@@ -107,7 +114,7 @@ pub fn select(cfg: &AdvisorConfig, wrote: bool, delta: &ClassTotals, current: Po
     };
     let cm = if !hot {
         CmChoice::Backoff
-    } else if delta.aborts_lock > delta.aborts_validation + delta.aborts_cut {
+    } else if lock > optimistic {
         // Lock-dominated contention: who-waits-for-whom matters, so age
         // by timestamp instead of blind backoff.
         CmChoice::Greedy
@@ -176,13 +183,10 @@ mod tests {
         aborts_lock: u64,
         aborts_validation: u64,
     ) -> ClassTotals {
-        ClassTotals {
-            runs,
-            reads: runs * reads_per_run,
-            aborts_lock,
-            aborts_validation,
-            ..ClassTotals::default()
-        }
+        let mut d = ClassTotals { runs, reads: runs * reads_per_run, ..ClassTotals::default() };
+        d.aborts[AbortCause::LockConflict] = aborts_lock;
+        d.aborts[AbortCause::Validation] = aborts_validation;
+        d
     }
 
     #[test]
@@ -217,16 +221,17 @@ mod tests {
         // pro-Snapshot contention signal — that would be a positive
         // feedback loop — and a capacity-starved class backs off to
         // optimistic reads.
-        let d = ClassTotals {
-            runs: 100,
-            reads: 100 * 50,
-            aborts_capacity: 60,
-            ..ClassTotals::default()
-        };
+        let mut d = ClassTotals { runs: 100, reads: 100 * 50, ..ClassTotals::default() };
+        d.aborts[AbortCause::Capacity] = 60;
         let p = select(&cfg(), false, &d, Policy::initial());
         assert_eq!(p.semantics, SemanticsChoice::Elastic);
         // The class still counts as hot for CM/escalation purposes.
         assert_eq!(p.escalate_after, cfg().escalate_after_hot);
+        // History-unavailable aborts starve Snapshot the same way.
+        let mut d = ClassTotals { runs: 100, reads: 100 * 50, ..ClassTotals::default() };
+        d.aborts[AbortCause::Capacity] = 20;
+        d.aborts[AbortCause::Unavailable] = 40;
+        assert_eq!(select(&cfg(), false, &d, Policy::initial()), p);
     }
 
     #[test]

@@ -265,6 +265,7 @@ impl SemanticsSource for Advisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polytm::AbortCounts;
 
     fn read_only_run(class: u16, reads: u64) -> RunTelemetry {
         RunTelemetry {
@@ -272,12 +273,7 @@ mod tests {
             requested: Semantics::elastic(),
             committed_semantics: Semantics::elastic(),
             retries: 0,
-            aborts_lock: 0,
-            aborts_validation: 0,
-            aborts_cut: 0,
-            aborts_capacity: 0,
-            aborts_unavailable: 0,
-            aborts_other: 0,
+            aborts: AbortCounts::default(),
             reads,
             writes: 0,
             wrote: false,

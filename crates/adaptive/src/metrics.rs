@@ -21,11 +21,11 @@ fn cm_code(cm: CmChoice) -> f64 {
 
 /// Register an [`Advisor`] under a prefix (conventionally `advisor`) to
 /// export `epochs`, and for every class with observed runs:
-/// `class.<slot>.{runs,retries,reads,writes,upgrades,abort_ratio}`,
-/// the per-cause `class.<slot>.aborts.*` split, and — once a policy is
-/// installed — `class.<slot>.policy.{semantics,cm,escalate_after}`
-/// (semantics uses [`polytm::trace::semantics_code`] values, cm the
-/// codes above).
+/// `class.<slot>.{runs,retries,reads,writes,upgrades,abort_ratio,wrote}`,
+/// `class.<slot>.aborts.<cause>` for every [`polytm::AbortCause::name`],
+/// and — once a policy is installed —
+/// `class.<slot>.policy.{semantics,cm,escalate_after}` (semantics uses
+/// [`polytm::trace::semantics_code`] values, cm the codes above).
 impl MetricsSource for Advisor {
     fn collect(&self, out: &mut Vec<(String, f64)>) {
         out.push(("epochs".to_string(), self.epochs() as f64));
@@ -40,11 +40,9 @@ impl MetricsSource for Advisor {
             };
             push("runs", t.runs as f64);
             push("retries", t.retries as f64);
-            push("aborts.lock", t.aborts_lock as f64);
-            push("aborts.validation", t.aborts_validation as f64);
-            push("aborts.cut", t.aborts_cut as f64);
-            push("aborts.capacity", t.aborts_capacity as f64);
-            push("aborts.other", t.aborts_other as f64);
+            for (cause, n) in t.aborts.iter() {
+                push(&format!("aborts.{}", cause.name()), n as f64);
+            }
             push("reads", t.reads as f64);
             push("writes", t.writes as f64);
             push("upgrades", t.upgrades as f64);
@@ -64,23 +62,21 @@ impl MetricsSource for Advisor {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use polytm::{ClassId, RunTelemetry, Semantics, SemanticsSource};
+    use std::collections::BTreeSet;
 
-    #[test]
-    fn exports_only_observed_classes_and_their_policies() {
+    use super::*;
+    use polytm::{AbortCounts, ClassId, RunTelemetry, Semantics, SemanticsSource};
+
+    /// What an advisor exports after one epoch of 32 read-only runs of
+    /// `class`: enough to install a policy for it.
+    fn collect_after_one_epoch(class: u16) -> Vec<(String, f64)> {
         let advisor = Advisor::default();
         let telemetry = RunTelemetry {
-            class: ClassId(3),
+            class: ClassId(class),
             requested: Semantics::elastic(),
             committed_semantics: Semantics::elastic(),
             retries: 0,
-            aborts_lock: 0,
-            aborts_validation: 0,
-            aborts_cut: 0,
-            aborts_capacity: 0,
-            aborts_unavailable: 0,
-            aborts_other: 0,
+            aborts: AbortCounts::default(),
             reads: 8,
             writes: 0,
             wrote: false,
@@ -93,10 +89,36 @@ mod tests {
         advisor.close_epoch();
         let mut out = Vec::new();
         advisor.collect(&mut out);
+        out
+    }
+
+    #[test]
+    fn exports_only_observed_classes_and_their_policies() {
+        let out = collect_after_one_epoch(3);
         let get = |k: &str| out.iter().find(|(key, _)| key == k).map(|(_, v)| *v);
         assert_eq!(get("epochs"), Some(1.0));
         assert_eq!(get("class.3.runs"), Some(32.0));
         assert!(get("class.3.policy.semantics").is_some(), "policy installed after epoch");
         assert_eq!(get("class.0.runs"), None, "silent classes are omitted");
+    }
+
+    /// `docs/RUNBOOK.md` §5 lists the advisor's keys in full, with
+    /// `<slot>` for the class slot; they must be exactly what `collect`
+    /// exports for a class with runs and an installed policy.
+    #[test]
+    fn runbook_lists_every_advisor_key_and_no_other() {
+        const RUNBOOK: &str = include_str!("../../../docs/RUNBOOK.md");
+        let row = RUNBOOK
+            .lines()
+            .find(|l| l.starts_with("| `advisor.` |"))
+            .expect("RUNBOOK has a key-table row for `advisor.`");
+        let keys = row.trim_end_matches('|').rsplit('|').next().expect("a keys column");
+        let listed: BTreeSet<String> =
+            keys.split('`').skip(1).step_by(2).map(str::to_string).collect();
+        let exported: BTreeSet<String> = collect_after_one_epoch(5)
+            .into_iter()
+            .map(|(k, _)| format!("advisor.{}", k.replace("class.5.", "class.<slot>.")))
+            .collect();
+        assert_eq!(exported, listed, "docs/RUNBOOK.md §5 `advisor.` row vs Advisor::collect");
     }
 }

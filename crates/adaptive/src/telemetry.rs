@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
-use polytm::{current_thread_index, RunTelemetry};
+use polytm::{current_thread_index, AbortCause, AbortCounts, RunTelemetry};
 
 /// Number of distinct class slots the advisor tracks. Class ids fold
 /// into this table (`id % MAX_CLASSES`); colliding classes share a slot
@@ -23,20 +23,17 @@ pub const MAX_CLASSES: usize = 32;
 /// Counter shards (power of two).
 const SHARDS: usize = 8;
 
-/// Counters per (shard, class) cell.
-const COUNTERS: usize = 10;
-
-// Indices into a cell.
+// Indices into a cell: five run counters, then one abort count per
+// cause at `C_ABORTS + cause index`.
 const C_RUNS: usize = 0;
 const C_RETRIES: usize = 1;
-const C_AB_LOCK: usize = 2;
-const C_AB_VALIDATION: usize = 3;
-const C_AB_CUT: usize = 4;
-const C_AB_CAPACITY: usize = 5;
-const C_AB_OTHER: usize = 6;
-const C_READS: usize = 7;
-const C_WRITES: usize = 8;
-const C_UPGRADES: usize = 9;
+const C_READS: usize = 2;
+const C_WRITES: usize = 3;
+const C_UPGRADES: usize = 4;
+const C_ABORTS: usize = 5;
+
+/// Counters per (shard, class) cell.
+const COUNTERS: usize = C_ABORTS + AbortCause::ALL.len();
 
 /// One shard: a dense `[class][counter]` block. A thread touches only
 /// its own shard, so the padding boundary is the shard, not the cell.
@@ -82,19 +79,9 @@ impl ClassTable {
         if t.retries > 0 {
             cell[C_RETRIES].fetch_add(u64::from(t.retries), Ordering::Relaxed);
         }
-        for (idx, n) in [
-            (C_AB_LOCK, t.aborts_lock),
-            (C_AB_VALIDATION, t.aborts_validation),
-            (C_AB_CUT, t.aborts_cut),
-            // Registry-capacity and history-unavailable aborts both mean
-            // "this class's snapshot bounds are starving", which is the
-            // one thing the controller's capacity signal exists to
-            // detect — fold them into one bucket.
-            (C_AB_CAPACITY, t.aborts_capacity + t.aborts_unavailable),
-            (C_AB_OTHER, t.aborts_other),
-        ] {
+        for (cause, n) in t.aborts.iter() {
             if n > 0 {
-                cell[idx].fetch_add(u64::from(n), Ordering::Relaxed);
+                cell[C_ABORTS + cause.index()].fetch_add(n, Ordering::Relaxed);
             }
         }
         if t.reads > 0 {
@@ -133,11 +120,7 @@ impl ClassTable {
         ClassTotals {
             runs: out[C_RUNS],
             retries: out[C_RETRIES],
-            aborts_lock: out[C_AB_LOCK],
-            aborts_validation: out[C_AB_VALIDATION],
-            aborts_cut: out[C_AB_CUT],
-            aborts_capacity: out[C_AB_CAPACITY],
-            aborts_other: out[C_AB_OTHER],
+            aborts: AbortCounts::from_fn(|c| out[C_ABORTS + c.index()]),
             reads: out[C_READS],
             writes: out[C_WRITES],
             upgrades: out[C_UPGRADES],
@@ -152,28 +135,20 @@ impl ClassTable {
 pub struct ClassTotals {
     pub runs: u64,
     pub retries: u64,
-    pub aborts_lock: u64,
-    pub aborts_validation: u64,
-    pub aborts_cut: u64,
-    pub aborts_capacity: u64,
-    pub aborts_other: u64,
+    pub aborts: AbortCounts,
     pub reads: u64,
     pub writes: u64,
     pub upgrades: u64,
 }
 
 impl ClassTotals {
-    /// Contention aborts (the four causes; user retries excluded).
-    pub fn contention_aborts(&self) -> u64 {
-        self.aborts_lock + self.aborts_validation + self.aborts_cut + self.aborts_capacity
-    }
-
-    /// Contention aborts per run; 0.0 when no runs.
+    /// Contention aborts per run (user retries excluded); 0.0 when no
+    /// runs.
     pub fn abort_ratio(&self) -> f64 {
         if self.runs == 0 {
             0.0
         } else {
-            self.contention_aborts() as f64 / self.runs as f64
+            self.aborts.contention() as f64 / self.runs as f64
         }
     }
 
@@ -187,11 +162,7 @@ impl ClassTotals {
         ClassTotals {
             runs: self.runs - earlier.runs,
             retries: self.retries - earlier.retries,
-            aborts_lock: self.aborts_lock - earlier.aborts_lock,
-            aborts_validation: self.aborts_validation - earlier.aborts_validation,
-            aborts_cut: self.aborts_cut - earlier.aborts_cut,
-            aborts_capacity: self.aborts_capacity - earlier.aborts_capacity,
-            aborts_other: self.aborts_other - earlier.aborts_other,
+            aborts: self.aborts.delta_since(&earlier.aborts),
             reads: self.reads - earlier.reads,
             writes: self.writes - earlier.writes,
             upgrades: self.upgrades - earlier.upgrades,
@@ -213,17 +184,15 @@ mod tests {
     }
 
     fn sample() -> RunTelemetry {
+        let mut aborts = AbortCounts::default();
+        aborts[AbortCause::LockConflict] = 1;
+        aborts[AbortCause::Validation] = 1;
         RunTelemetry {
             class: ClassId(0),
             requested: Semantics::elastic(),
             committed_semantics: Semantics::elastic(),
             retries: 2,
-            aborts_lock: 1,
-            aborts_validation: 1,
-            aborts_cut: 0,
-            aborts_capacity: 0,
-            aborts_unavailable: 0,
-            aborts_other: 0,
+            aborts,
             reads: 10,
             writes: 1,
             wrote: true,
@@ -241,8 +210,8 @@ mod tests {
         let t = table.totals(3);
         assert_eq!(t.runs, 5);
         assert_eq!(t.retries, 10);
-        assert_eq!(t.aborts_lock, 5);
-        assert_eq!(t.contention_aborts(), 10);
+        assert_eq!(t.aborts[AbortCause::LockConflict], 5);
+        assert_eq!(t.aborts.contention(), 10);
         assert_eq!(t.avg_reads(), 10);
         assert!((t.abort_ratio() - 2.0).abs() < 1e-12);
         assert_eq!(table.totals(4), ClassTotals::default(), "other classes untouched");

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use polytm::{ClassId, RunTelemetry, Semantics, SemanticsSource};
+use polytm::{AbortCause, AbortCounts, ClassId, RunTelemetry, Semantics, SemanticsSource};
 use polytm_adaptive::{Advisor, AdvisorConfig};
 
 /// One synthetic observation: shaped enough to stress the classifier in
@@ -23,17 +23,15 @@ fn telemetry_strategy() -> impl Strategy<Value = RunTelemetry> {
     )
         .prop_map(
             |((class, reads), (writes, wrote_flag), (retries, aborts_lock, aborts_validation))| {
+                let mut aborts = AbortCounts::default();
+                aborts[AbortCause::LockConflict] = u64::from(aborts_lock);
+                aborts[AbortCause::Validation] = u64::from(aborts_validation);
                 RunTelemetry {
                     class: ClassId(class),
                     requested: Semantics::elastic(),
                     committed_semantics: Semantics::elastic(),
                     retries,
-                    aborts_lock,
-                    aborts_validation,
-                    aborts_cut: 0,
-                    aborts_capacity: 0,
-                    aborts_unavailable: 0,
-                    aborts_other: 0,
+                    aborts,
                     reads,
                     writes,
                     wrote: wrote_flag || writes > 0,

@@ -388,11 +388,9 @@ pub fn e9_snapshot_scans(profile: &Profile) -> String {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         let stats = stm.stats();
-        let scan_aborts = stats.aborts_read_conflict
-            + stats.aborts_validation
-            + stats.aborts_capacity
-            + stats.aborts_unavailable
-            + stats.aborts_locked;
+        // Every transaction here is opaque or snapshot, so no abort is a
+        // cut and the contention causes are the scan's conflicts.
+        let scan_aborts = stats.aborts_by_cause().contention();
         t.row(&[
             name.to_string(),
             scans.load(std::sync::atomic::Ordering::Relaxed).to_string(),

@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use polytm::trace::{self, code, unpack_seq_range, TraceEvent, NO_CLASS};
+use polytm::{AbortCause, AbortCounts};
 use polytm_obs::TraceDump;
 
 /// Number of buckets in a per-class commit-rate series.
@@ -93,9 +94,9 @@ pub struct ClassTimeline {
     pub retry_begins: u64,
     /// Committed transactions, indexed by semantics code (0..=3).
     pub commits_by_semantics: [u64; 4],
-    /// Aborted attempts, indexed by abort-cause code (1..=6; slot 0
-    /// collects events with an unknown cause byte).
-    pub aborts_by_cause: [u64; 7],
+    /// Aborted attempts by cause (an event whose cause byte names no
+    /// [`AbortCause`] counts as [`AbortCause::Other`]).
+    pub aborts_by_cause: AbortCounts,
     /// `TXN_EXTEND` events attributed to this class (elastic cuts).
     pub extends: u64,
     /// First event timestamp (ns since the tracer epoch).
@@ -115,7 +116,7 @@ impl ClassTimeline {
 
     /// Total aborted attempts across causes.
     pub fn aborts(&self) -> u64 {
-        self.aborts_by_cause.iter().sum()
+        self.aborts_by_cause.total()
     }
 
     /// Total attempts: every attempt resolves as exactly one commit or
@@ -130,14 +131,14 @@ impl ClassTimeline {
 pub struct AbortSite {
     /// The conflicting address as recorded in the abort event.
     pub addr: u64,
-    /// Aborts attributed to it, by cause code.
-    pub by_cause: [u64; 7],
+    /// Aborts attributed to it, by cause.
+    pub by_cause: AbortCounts,
 }
 
 impl AbortSite {
     /// Total aborts at this address.
     pub fn total(&self) -> u64 {
-        self.by_cause.iter().sum()
+        self.by_cause.total()
     }
 }
 
@@ -326,7 +327,7 @@ pub fn replay(rings: &[(u32, &[TraceEvent])]) -> TraceReport {
                             t.commit_series[bucket] += 1;
                         }
                         _ => {
-                            let cause = (ev.sub as usize).min(6);
+                            let cause = AbortCause::from_code(ev.sub).unwrap_or(AbortCause::Other);
                             t.aborts_by_cause[cause] += 1;
                             if ev.a != 0 {
                                 let site = abort_sites.entry(ev.a).or_insert_with(|| AbortSite {
@@ -534,11 +535,8 @@ pub fn render(report: &TraceReport, top: usize) -> String {
                 let _ = writeln!(out, "  commits[{}] {}", trace::semantics_name(sem), n);
             }
         }
-        for cause in 0..7u8 {
-            let n = t.aborts_by_cause[cause as usize];
-            if n > 0 {
-                let _ = writeln!(out, "  aborts[{}] {}", trace::cause_name(cause), n);
-            }
+        for (cause, n) in t.aborts_by_cause.iter().filter(|&(_, n)| n > 0) {
+            let _ = writeln!(out, "  aborts[{}] {}", cause.name(), n);
         }
         let series: Vec<String> = t.commit_series.iter().map(u64::to_string).collect();
         let _ = writeln!(out, "  commit series [{}]", series.join(" "));
@@ -549,9 +547,11 @@ pub fn render(report: &TraceReport, top: usize) -> String {
         let _ = writeln!(out, "(no addressed aborts)");
     }
     for site in report.abort_sites.iter().take(top) {
-        let causes: Vec<String> = (0..7u8)
-            .filter(|&c| site.by_cause[c as usize] > 0)
-            .map(|c| format!("{} {}", trace::cause_name(c), site.by_cause[c as usize]))
+        let causes: Vec<String> = site
+            .by_cause
+            .iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(c, n)| format!("{} {}", c.name(), n))
             .collect();
         let _ =
             writeln!(out, "addr {:#x}: {} aborts ({})", site.addr, site.total(), causes.join(", "));

@@ -20,7 +20,7 @@ use std::process::{Command, Output};
 use std::sync::Arc;
 use std::time::Duration;
 
-use polytm::{Abort, ClassId, Semantics, Stm, StmConfig, TxParams};
+use polytm::{Abort, AbortCause, AbortCounts, ClassId, Semantics, Stm, StmConfig, TxParams};
 use polytm_bench::replay::{render, replay_dump, TraceReport};
 use polytm_durable::{Durability, DurableKv, DurableKvConfig, FaultFs, RealFs, WalConfig};
 use polytm_kv::{KvConfig, Value};
@@ -61,7 +61,7 @@ fn run_classed(
 /// Also checks the begin-elision invariant: the core emits `TXN_BEGIN`
 /// only for re-attempts, and every abort here is retried, so the
 /// retry-begin count must equal the abort count exactly.
-fn class_counts(report: &TraceReport, class: u16) -> (u64, u64, [u64; 7]) {
+fn class_counts(report: &TraceReport, class: u16) -> (u64, u64, AbortCounts) {
     let t = report.classes.get(&class).unwrap_or_else(|| panic!("class {class} missing"));
     assert_eq!(t.retry_begins, t.aborts(), "class {class}: one re-attempt begin per abort");
     (t.attempts(), t.commits(), t.aborts_by_cause)
@@ -169,20 +169,20 @@ fn traceview_report_matches_a_deterministic_oracle() {
     let report = replay_dump(&reread);
 
     // -- per-class timelines --------------------------------------
-    let lock = trace::cause(polytm::AbortCause::LockConflict);
-    let validation = trace::cause(polytm::AbortCause::Validation);
-    let cut = trace::cause(polytm::AbortCause::Cut);
+    let lock = AbortCause::LockConflict;
+    let validation = AbortCause::Validation;
+    let cut = AbortCause::Cut;
 
     let (attempts, commits, aborts) = class_counts(&report, 7);
     assert_eq!((attempts, commits), (40, 40));
-    assert_eq!(aborts.iter().sum::<u64>(), 0);
+    assert_eq!(aborts.total(), 0);
     assert_eq!(report.classes[&7].commits_by_semantics[0], 40, "all class-7 commits opaque");
     assert_eq!(report.classes[&7].commit_series.iter().sum::<u64>(), 40);
 
     let (attempts, commits, aborts) = class_counts(&report, 9);
     assert_eq!((attempts, commits), (75, 25), "25 commits after 2 aborts each");
     assert_eq!(aborts[lock], 50);
-    assert_eq!(aborts.iter().sum::<u64>(), 50);
+    assert_eq!(aborts.total(), 50);
 
     let (attempts, commits, aborts) = class_counts(&report, 11);
     assert_eq!((attempts, commits), (20, 10));
@@ -331,11 +331,4 @@ fn temp_path(suffix: &str) -> String {
 /// Run the real `traceview` binary with `args`.
 fn traceview(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_traceview")).args(args).output().expect("run traceview")
-}
-
-/// `trace::cause_code` as a table index, via the public names.
-mod trace {
-    pub fn cause(c: polytm::AbortCause) -> usize {
-        polytm::trace::cause_code(c) as usize
-    }
 }

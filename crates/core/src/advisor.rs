@@ -26,6 +26,7 @@
 //!   safety.
 
 use crate::cm::ConflictArbiter;
+use crate::error::AbortCounts;
 use crate::semantics::Semantics;
 
 /// Identity of a transaction *class*: a group of `Stm::run` call sites
@@ -72,24 +73,8 @@ pub struct RunTelemetry {
     pub committed_semantics: Semantics,
     /// Aborted attempts before the commit.
     pub retries: u32,
-    /// Aborts whose cause was a location lock held by another
-    /// transaction.
-    pub aborts_lock: u32,
-    /// Aborts whose cause was read validation (read-time conflict under
-    /// non-elastic semantics, or commit-time validation failure).
-    pub aborts_validation: u32,
-    /// Aborts of elastic attempts whose cut/extension machinery could
-    /// not absorb a conflicting update.
-    pub aborts_cut: u32,
-    /// Aborts because the snapshot registry had no free slot to protect
-    /// the run's read bound (a resource-capacity failure).
-    pub aborts_capacity: u32,
-    /// Aborts because a snapshot needed a version older than the
-    /// history retained for the location (its bound was unprotected).
-    pub aborts_unavailable: u32,
-    /// Aborts outside the four contention causes (user retries and
-    /// read-only violations).
-    pub aborts_other: u32,
+    /// The run's aborted attempts, by cause.
+    pub aborts: AbortCounts,
     /// Reads observed by the committed attempt: live read-set entries,
     /// elastically cut entries, and snapshot/irrevocable direct reads —
     /// the attempt's traversal length, which is what a classifier needs
@@ -120,12 +105,7 @@ impl RunTelemetry {
             requested,
             committed_semantics: requested,
             retries: 0,
-            aborts_lock: 0,
-            aborts_validation: 0,
-            aborts_cut: 0,
-            aborts_capacity: 0,
-            aborts_unavailable: 0,
-            aborts_other: 0,
+            aborts: AbortCounts::default(),
             reads: 0,
             writes: 0,
             wrote: false,
@@ -134,21 +114,13 @@ impl RunTelemetry {
         }
     }
 
-    /// Fold one abort into the per-cause counters, classified by the
-    /// same [`crate::error::AbortCause`] split as
-    /// [`crate::StatsSnapshot`].
+    /// Fold one abort into the per-cause counts, classified by the
+    /// same [`crate::AbortCause`] split as [`crate::StatsSnapshot`].
     pub(crate) fn record_abort(&mut self, abort: crate::Abort, semantics: Semantics) {
-        use crate::error::AbortCause;
-        let ctr = match abort.cause(semantics) {
-            None => return, // Cancel is not an abort
-            Some(AbortCause::LockConflict) => &mut self.aborts_lock,
-            Some(AbortCause::Validation) => &mut self.aborts_validation,
-            Some(AbortCause::Cut) => &mut self.aborts_cut,
-            Some(AbortCause::Capacity) => &mut self.aborts_capacity,
-            Some(AbortCause::Unavailable) => &mut self.aborts_unavailable,
-            Some(AbortCause::Other) => &mut self.aborts_other,
-        };
-        *ctr += 1;
+        // Cancel has no cause: it is not an abort.
+        if let Some(cause) = abort.cause(semantics) {
+            self.aborts[cause] += 1;
+        }
     }
 }
 
@@ -183,17 +155,8 @@ mod tests {
         t.record_abort(Abort::SnapshotUnavailable { addr: 0 }, Semantics::Snapshot);
         t.record_abort(Abort::SnapshotCapacity { addr: 0 }, Semantics::Snapshot);
         t.record_abort(Abort::Retry, Semantics::Opaque);
-        assert_eq!(
-            (
-                t.aborts_lock,
-                t.aborts_validation,
-                t.aborts_cut,
-                t.aborts_capacity,
-                t.aborts_unavailable,
-                t.aborts_other
-            ),
-            (1, 2, 1, 1, 1, 1)
-        );
+        t.record_abort(Abort::Cancel, Semantics::Opaque);
+        assert_eq!(t.aborts.iter().map(|(_, n)| n).collect::<Vec<_>>(), [1, 2, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -69,30 +69,127 @@ pub enum Abort {
     Cancel,
 }
 
-/// The contention-cause buckets aborts are classified into — the single
-/// source of the split reported by [`crate::StatsSnapshot`]'s cause
-/// counters, the bench rows' `aborts_*` columns, and the advisor's
-/// [`crate::RunTelemetry`].
+/// The cause buckets aborts are classified into, declared once: every
+/// count split by cause ([`crate::StatsSnapshot::aborts_by_cause`], the
+/// advisor's [`crate::RunTelemetry`] and per-class metrics, the trace's
+/// `TXN_ABORT` events and their replay) is an [`AbortCounts`] indexed by
+/// this enum, and every cause name is [`AbortCause::name`].
+///
+/// The discriminant is the stable trace code ([`AbortCause::code`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum AbortCause {
     /// A location lock held by another transaction.
-    LockConflict,
+    LockConflict = 1,
     /// Read validation (a read-time conflict under non-elastic
     /// semantics, or commit-time read-set validation).
-    Validation,
+    Validation = 2,
     /// An elastic window that could not absorb a conflicting update
     /// (read-time conflict under elastic semantics).
-    Cut,
+    Cut = 3,
     /// A runtime resource limit: the snapshot registry had no free slot
     /// to protect a snapshot's read bound, and the unprotected bound
     /// fell behind truncation.
-    Capacity,
+    Capacity = 4,
     /// A snapshot needed a version older than the history retained for
     /// the location (the bound was never registry-protected).
-    Unavailable,
+    Unavailable = 5,
     /// Not contention: user retries, read-only violations, irrevocable
     /// restarts.
-    Other,
+    Other = 6,
+}
+
+impl AbortCause {
+    /// Every cause, in trace-code order.
+    pub const ALL: [AbortCause; 6] = [
+        AbortCause::LockConflict,
+        AbortCause::Validation,
+        AbortCause::Cut,
+        AbortCause::Capacity,
+        AbortCause::Unavailable,
+        AbortCause::Other,
+    ];
+
+    /// Stable wire code (the `sub` of `TXN_ABORT` trace events); never
+    /// renumbered, so older trace dumps keep decoding.
+    pub const fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The cause a trace code names; `None` for a code no cause has.
+    pub fn from_code(code: u8) -> Option<AbortCause> {
+        Self::ALL.into_iter().find(|c| c.code() == code)
+    }
+
+    /// The cause's name in trace replays and metric keys.
+    pub const fn name(self) -> &'static str {
+        match self {
+            AbortCause::LockConflict => "lock-conflict",
+            AbortCause::Validation => "validation",
+            AbortCause::Cut => "cut",
+            AbortCause::Capacity => "capacity",
+            AbortCause::Unavailable => "unavailable",
+            AbortCause::Other => "other",
+        }
+    }
+
+    /// Position in [`AbortCause::ALL`] (and in an [`AbortCounts`]), for
+    /// tables that keep one slot per cause.
+    pub const fn index(self) -> usize {
+        self as usize - 1
+    }
+}
+
+/// One count per [`AbortCause`], indexed by the cause.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct AbortCounts([u64; AbortCause::ALL.len()]);
+
+impl AbortCounts {
+    /// Counts filled in cause by cause.
+    pub fn from_fn(mut count: impl FnMut(AbortCause) -> u64) -> Self {
+        Self(AbortCause::ALL.map(&mut count))
+    }
+
+    /// `(cause, count)` pairs in [`AbortCause::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (AbortCause, u64)> + '_ {
+        AbortCause::ALL.into_iter().zip(self.0)
+    }
+
+    /// Aborts across every cause.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// Contention aborts: every cause except [`AbortCause::Other`]
+    /// (user retries and the like are workload logic, not contention).
+    pub fn contention(&self) -> u64 {
+        self.total() - self[AbortCause::Other]
+    }
+
+    /// Cause-wise difference (for per-phase accounting).
+    pub fn delta_since(&self, earlier: &AbortCounts) -> AbortCounts {
+        Self::from_fn(|c| self[c] - earlier[c])
+    }
+}
+
+impl std::ops::Index<AbortCause> for AbortCounts {
+    type Output = u64;
+    fn index(&self, cause: AbortCause) -> &u64 {
+        &self.0[cause.index()]
+    }
+}
+
+impl std::ops::IndexMut<AbortCause> for AbortCounts {
+    fn index_mut(&mut self, cause: AbortCause) -> &mut u64 {
+        &mut self.0[cause.index()]
+    }
+}
+
+/// Prints as a map from cause name to count.
+impl fmt::Debug for AbortCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter().map(|(c, n)| (c.name(), n))).finish()
+    }
 }
 
 impl Abort {
@@ -133,21 +230,6 @@ impl Abort {
             Abort::ReadOnlyViolation | Abort::Retry | Abort::RestartIrrevocable | Abort::Cancel => {
                 None
             }
-        }
-    }
-
-    /// Short machine-readable label used by the statistics counters.
-    pub fn label(self) -> &'static str {
-        match self {
-            Abort::ReadConflict { .. } => "read-conflict",
-            Abort::Locked { .. } => "locked",
-            Abort::ValidationFailed { .. } => "validation",
-            Abort::SnapshotUnavailable { .. } => "snapshot-unavailable",
-            Abort::SnapshotCapacity { .. } => "snapshot-capacity",
-            Abort::ReadOnlyViolation => "read-only-violation",
-            Abort::Retry => "retry",
-            Abort::RestartIrrevocable => "restart-irrevocable",
-            Abort::Cancel => "cancel",
         }
     }
 }
@@ -246,21 +328,29 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels = [
-            Abort::ReadConflict { addr: 0 }.label(),
-            Abort::Locked { addr: 0, owner: 0 }.label(),
-            Abort::ValidationFailed { addr: 0 }.label(),
-            Abort::SnapshotUnavailable { addr: 0 }.label(),
-            Abort::SnapshotCapacity { addr: 0 }.label(),
-            Abort::ReadOnlyViolation.label(),
-            Abort::Retry.label(),
-            Abort::RestartIrrevocable.label(),
-            Abort::Cancel.label(),
-        ];
-        let mut dedup = labels.to_vec();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), labels.len());
+        let mut names = AbortCause::ALL.map(AbortCause::name);
+        names.sort_unstable();
+        assert!(names.windows(2).all(|w| w[0] != w[1]), "duplicate cause name in {names:?}");
+        for (i, c) in AbortCause::ALL.into_iter().enumerate() {
+            assert_eq!((AbortCause::from_code(c.code()), c.index()), (Some(c), i));
+        }
+        assert_eq!((AbortCause::from_code(0), AbortCause::from_code(7)), (None, None));
+    }
+
+    #[test]
+    fn abort_counts_index_by_cause() {
+        let mut counts = AbortCounts::default();
+        counts[AbortCause::LockConflict] = 4;
+        counts[AbortCause::Capacity] = 2;
+        counts[AbortCause::Other] = 1;
+        assert_eq!((counts.total(), counts.contention()), (7, 6));
+        let later = AbortCounts::from_fn(|c| counts[c] + 1);
+        assert_eq!(later.delta_since(&counts), AbortCounts::from_fn(|_| 1));
+        assert_eq!(
+            format!("{counts:?}"),
+            "{\"lock-conflict\": 4, \"validation\": 0, \"cut\": 0, \"capacity\": 2, \
+             \"unavailable\": 0, \"other\": 1}"
+        );
     }
 
     #[test]

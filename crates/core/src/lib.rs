@@ -80,7 +80,6 @@ pub mod shard;
 pub(crate) mod snapreg;
 pub mod stats;
 pub mod stm;
-pub mod tarray;
 pub mod trace;
 pub mod tvar;
 pub(crate) mod txdesc;
@@ -92,13 +91,12 @@ pub use clock::GlobalClock;
 pub use cm::{
     Backoff, ConflictArbiter, ConflictDecision, ContentionManager, Greedy, Suicide, TxMeta,
 };
-pub use error::{Abort, AbortCause, Canceled, TxResult};
+pub use error::{Abort, AbortCause, AbortCounts, Canceled, TxResult};
 pub use redo::{CommitInfo, RedoSink};
 pub use semantics::{NestingPolicy, Semantics, Strength};
 pub use shard::current_thread_index;
 pub use stats::{StatsSnapshot, StmStats};
 pub use stm::{Stm, StmConfig, TxParams};
-pub use tarray::TArray;
 pub use trace::{TraceEvent, TraceSink};
 pub use tvar::{PeekGuard, TVar, TxValue};
 pub use txdesc::INLINE_WRITE_WORDS;

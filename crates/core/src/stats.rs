@@ -11,6 +11,7 @@
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::error::{AbortCause, AbortCounts};
 use crate::semantics::Semantics;
 use crate::shard::current_thread_index;
 
@@ -19,61 +20,89 @@ use crate::shard::current_thread_index;
 /// parallel).
 const STAT_SHARDS: usize = 32;
 
-/// One thread stripe's counters. Plain (unpadded) atomics inside one
-/// padded block: a thread touches only its own block.
-#[derive(Debug, Default)]
-struct StatShard {
-    commits: AtomicU64,
-    aborts_read_conflict: AtomicU64,
-    aborts_locked: AtomicU64,
-    aborts_validation: AtomicU64,
-    aborts_elastic_cut: AtomicU64,
-    aborts_capacity: AtomicU64,
-    aborts_unavailable: AtomicU64,
-    aborts_user_retry: AtomicU64,
-    elastic_cuts: AtomicU64,
-    extensions: AtomicU64,
-    irrevocable_upgrades: AtomicU64,
-    irrevocable_commits: AtomicU64,
-    boxed_writes: AtomicU64,
-    commits_durable: AtomicU64,
-    group_commit_batches: AtomicU64,
-    fsyncs: AtomicU64,
-    wal_bytes: AtomicU64,
-    wait_gate_ns: AtomicU64,
-    wait_arbitrate_ns: AtomicU64,
-    wait_clock_ns: AtomicU64,
-    wal_wait_ns: AtomicU64,
-    point_reads: AtomicU64,
+/// The STM's counters, each declared once: a [`StatsSnapshot`] field
+/// and its key in the metrics plane (relative to the prefix the
+/// `polytm-obs` `StmMetrics` source is registered under, conventionally
+/// `stm`). The list generates the per-thread [`StatShard`], the shard
+/// walk, [`StatsSnapshot`], [`StatsSnapshot::counters`] and
+/// [`StatsSnapshot::delta_since`], so a new counter is one line here
+/// plus the `record_*` method that bumps it.
+macro_rules! stm_counters {
+    ($($(#[$doc:meta])* $field:ident => $key:literal,)+) => {
+        /// One thread stripe's counters. Plain (unpadded) atomics inside
+        /// one padded block: a thread touches only its own block.
+        #[derive(Debug, Default)]
+        struct StatShard {
+            $($field: AtomicU64,)+
+        }
+
+        impl StatShard {
+            /// Add this shard's counts into `out`.
+            fn add_to(&self, out: &mut StatsSnapshot) {
+                $(out.$field += self.$field.load(Ordering::Relaxed);)+
+            }
+
+            fn reset(&self) {
+                $(self.$field.store(0, Ordering::Relaxed);)+
+            }
+        }
+
+        /// Number of counters in a [`StatsSnapshot`].
+        const COUNTERS: usize = [$(stringify!($field)),+].len();
+
+        /// Point-in-time copy of the [`StmStats`] counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[allow(missing_docs)] // field names are self-describing counter labels
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(metrics key, count)`, in declaration
+            /// order — what `StmMetrics` exports.
+            pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+                [$(($key, self.$field)),+]
+            }
+
+            /// Difference of two snapshots (for per-phase accounting).
+            pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot { $($field: self.$field - earlier.$field,)+ }
+            }
+        }
+    };
 }
 
-impl StatShard {
-    fn counters(&self) -> [&AtomicU64; 22] {
-        [
-            &self.commits,
-            &self.aborts_read_conflict,
-            &self.aborts_locked,
-            &self.aborts_validation,
-            &self.aborts_elastic_cut,
-            &self.aborts_capacity,
-            &self.aborts_unavailable,
-            &self.aborts_user_retry,
-            &self.elastic_cuts,
-            &self.extensions,
-            &self.irrevocable_upgrades,
-            &self.irrevocable_commits,
-            &self.boxed_writes,
-            &self.commits_durable,
-            &self.group_commit_batches,
-            &self.fsyncs,
-            &self.wal_bytes,
-            &self.wait_gate_ns,
-            &self.wait_arbitrate_ns,
-            &self.wait_clock_ns,
-            &self.wal_wait_ns,
-            &self.point_reads,
-        ]
-    }
+stm_counters! {
+    commits => "commits",
+    /// Read-time conflicts under non-elastic semantics (one half of
+    /// [`AbortCause::Validation`]).
+    aborts_read_conflict => "aborts.read_conflict",
+    aborts_locked => "aborts.locked",
+    /// Commit-time read-set validation failures (the other half of
+    /// [`AbortCause::Validation`]).
+    aborts_validation => "aborts.validation",
+    aborts_elastic_cut => "aborts.cut",
+    aborts_capacity => "aborts.capacity",
+    aborts_unavailable => "aborts.unavailable",
+    aborts_user_retry => "aborts.other",
+    elastic_cuts => "cuts",
+    extensions => "extensions",
+    irrevocable_upgrades => "upgrades.irrevocable",
+    irrevocable_commits => "commits.irrevocable",
+    boxed_writes => "boxed_writes",
+    commits_durable => "wal.commits_durable",
+    group_commit_batches => "wal.group_commit_batches",
+    fsyncs => "wal.fsyncs",
+    wal_bytes => "wal.bytes",
+    wait_gate_ns => "wait.gate_ns",
+    wait_arbitrate_ns => "wait.arbitrate_ns",
+    wait_clock_ns => "wait.clock_ns",
+    wal_wait_ns => "wal.wait_ns",
+    /// Descriptor-free reads ([`crate::Stm::read_direct`]) that
+    /// answered without a transaction. Outside the conservation law
+    /// `attempts == commits + aborts + cancels`: a point read is no
+    /// attempt, and one that falls back is counted as its transaction.
+    point_reads => "point_reads",
 }
 
 /// Sharded counter block owned by an [`crate::Stm`].
@@ -114,13 +143,12 @@ impl StmStats {
         s.commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one abort, classified by [`crate::error::AbortCause`]
+    /// Record one abort, classified by [`AbortCause`]
     /// (the `semantics` of the aborted attempt decides whether a
     /// read-time conflict is a *cut* or plain validation). The
     /// validation cause keeps the finer read-time vs commit-time split
     /// in two counters.
     pub(crate) fn record_abort(&self, abort: crate::Abort, semantics: Semantics) {
-        use crate::error::AbortCause;
         let s = self.shard();
         let ctr = match abort.cause(semantics) {
             None => return, // Cancel is not an abort
@@ -217,35 +245,7 @@ impl StmStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut out = StatsSnapshot::default();
         for shard in self.shards.iter() {
-            // Zipped against counters() so the counter list lives in
-            // exactly one place; a mismatch is a compile error here.
-            let dst: [&mut u64; 22] = [
-                &mut out.commits,
-                &mut out.aborts_read_conflict,
-                &mut out.aborts_locked,
-                &mut out.aborts_validation,
-                &mut out.aborts_elastic_cut,
-                &mut out.aborts_capacity,
-                &mut out.aborts_unavailable,
-                &mut out.aborts_user_retry,
-                &mut out.elastic_cuts,
-                &mut out.extensions,
-                &mut out.irrevocable_upgrades,
-                &mut out.irrevocable_commits,
-                &mut out.boxed_writes,
-                &mut out.commits_durable,
-                &mut out.group_commit_batches,
-                &mut out.fsyncs,
-                &mut out.wal_bytes,
-                &mut out.wait_gate_ns,
-                &mut out.wait_arbitrate_ns,
-                &mut out.wait_clock_ns,
-                &mut out.wal_wait_ns,
-                &mut out.point_reads,
-            ];
-            for (src, dst) in shard.counters().iter().zip(dst) {
-                *dst += src.load(Ordering::Relaxed);
-            }
+            shard.add_to(&mut out);
         }
         out
     }
@@ -253,43 +253,9 @@ impl StmStats {
     /// Reset all counters to zero (between benchmark phases).
     pub fn reset(&self) {
         for shard in self.shards.iter() {
-            for c in shard.counters() {
-                c.store(0, Ordering::Relaxed);
-            }
+            shard.reset();
         }
     }
-}
-
-/// Point-in-time copy of the [`StmStats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field names are self-describing counter labels
-pub struct StatsSnapshot {
-    pub commits: u64,
-    pub aborts_read_conflict: u64,
-    pub aborts_locked: u64,
-    pub aborts_validation: u64,
-    pub aborts_elastic_cut: u64,
-    pub aborts_capacity: u64,
-    pub aborts_unavailable: u64,
-    pub aborts_user_retry: u64,
-    pub elastic_cuts: u64,
-    pub extensions: u64,
-    pub irrevocable_upgrades: u64,
-    pub irrevocable_commits: u64,
-    pub boxed_writes: u64,
-    pub commits_durable: u64,
-    pub group_commit_batches: u64,
-    pub fsyncs: u64,
-    pub wal_bytes: u64,
-    pub wait_gate_ns: u64,
-    pub wait_arbitrate_ns: u64,
-    pub wait_clock_ns: u64,
-    pub wal_wait_ns: u64,
-    /// Descriptor-free reads ([`crate::Stm::read_direct`]) that
-    /// answered without a transaction. Outside the conservation law
-    /// `attempts == commits + aborts + cancels`: a point read is no
-    /// attempt, and one that falls back is counted as its transaction.
-    pub point_reads: u64,
 }
 
 impl StatsSnapshot {
@@ -301,32 +267,20 @@ impl StatsSnapshot {
     }
     /// Total aborts across all causes.
     pub fn aborts(&self) -> u64 {
-        self.aborts_read_conflict
-            + self.aborts_locked
-            + self.aborts_validation
-            + self.aborts_elastic_cut
-            + self.aborts_capacity
-            + self.aborts_unavailable
-            + self.aborts_user_retry
+        self.aborts_by_cause().total()
     }
 
-    /// The five contention causes as `(label, count)` pairs, in the
-    /// order the bench rows report them: lock-conflict (a location lock
-    /// held by another transaction), validation (read-time or
-    /// commit-time read-set validation under non-elastic semantics),
-    /// cut (an elastic window that could not absorb a conflicting
-    /// update), capacity (the snapshot registry had no free slot to
-    /// protect a bound), unavailable (snapshot history truncated past
-    /// an unprotected bound). User retries are deliberately excluded:
-    /// they are workload logic, not contention.
-    pub fn aborts_by_cause(&self) -> [(&'static str, u64); 5] {
-        [
-            ("lock-conflict", self.aborts_locked),
-            ("validation", self.aborts_read_conflict + self.aborts_validation),
-            ("cut", self.aborts_elastic_cut),
-            ("capacity", self.aborts_capacity),
-            ("unavailable", self.aborts_unavailable),
-        ]
+    /// Aborts split by [`AbortCause`]; validation sums the read-time
+    /// and commit-time counters.
+    pub fn aborts_by_cause(&self) -> AbortCounts {
+        AbortCounts::from_fn(|cause| match cause {
+            AbortCause::LockConflict => self.aborts_locked,
+            AbortCause::Validation => self.aborts_read_conflict + self.aborts_validation,
+            AbortCause::Cut => self.aborts_elastic_cut,
+            AbortCause::Capacity => self.aborts_capacity,
+            AbortCause::Unavailable => self.aborts_unavailable,
+            AbortCause::Other => self.aborts_user_retry,
+        })
     }
 
     /// Aborts per commit; 0.0 when nothing committed.
@@ -335,34 +289,6 @@ impl StatsSnapshot {
             0.0
         } else {
             self.aborts() as f64 / self.commits as f64
-        }
-    }
-
-    /// Difference of two snapshots (for per-phase accounting).
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits - earlier.commits,
-            aborts_read_conflict: self.aborts_read_conflict - earlier.aborts_read_conflict,
-            aborts_locked: self.aborts_locked - earlier.aborts_locked,
-            aborts_validation: self.aborts_validation - earlier.aborts_validation,
-            aborts_elastic_cut: self.aborts_elastic_cut - earlier.aborts_elastic_cut,
-            aborts_capacity: self.aborts_capacity - earlier.aborts_capacity,
-            aborts_unavailable: self.aborts_unavailable - earlier.aborts_unavailable,
-            aborts_user_retry: self.aborts_user_retry - earlier.aborts_user_retry,
-            elastic_cuts: self.elastic_cuts - earlier.elastic_cuts,
-            extensions: self.extensions - earlier.extensions,
-            irrevocable_upgrades: self.irrevocable_upgrades - earlier.irrevocable_upgrades,
-            irrevocable_commits: self.irrevocable_commits - earlier.irrevocable_commits,
-            boxed_writes: self.boxed_writes - earlier.boxed_writes,
-            commits_durable: self.commits_durable - earlier.commits_durable,
-            group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
-            fsyncs: self.fsyncs - earlier.fsyncs,
-            wal_bytes: self.wal_bytes - earlier.wal_bytes,
-            wait_gate_ns: self.wait_gate_ns - earlier.wait_gate_ns,
-            wait_arbitrate_ns: self.wait_arbitrate_ns - earlier.wait_arbitrate_ns,
-            wait_clock_ns: self.wait_clock_ns - earlier.wait_clock_ns,
-            wal_wait_ns: self.wal_wait_ns - earlier.wal_wait_ns,
-            point_reads: self.point_reads - earlier.point_reads,
         }
     }
 }
@@ -412,17 +338,26 @@ mod tests {
         s.record_abort(Abort::Retry, Semantics::Opaque);
         let by_cause = s.snapshot().aborts_by_cause();
         assert_eq!(
-            by_cause,
+            by_cause.iter().collect::<Vec<_>>(),
             [
-                ("lock-conflict", 1),
-                ("validation", 2),
-                ("cut", 1),
-                ("capacity", 1),
-                ("unavailable", 1)
+                (AbortCause::LockConflict, 1),
+                (AbortCause::Validation, 2),
+                (AbortCause::Cut, 1),
+                (AbortCause::Capacity, 1),
+                (AbortCause::Unavailable, 1),
+                (AbortCause::Other, 1)
             ]
         );
         // User retries are in the total but not a contention cause.
         assert_eq!(s.snapshot().aborts(), 7);
+        assert_eq!(by_cause.contention(), 6);
+    }
+
+    #[test]
+    fn every_counter_has_a_distinct_metrics_key() {
+        let mut keys = StatsSnapshot::default().counters().map(|(key, _)| key);
+        keys.sort_unstable();
+        assert!(keys.windows(2).all(|w| w[0] != w[1]), "duplicate key in {keys:?}");
     }
 
     #[test]

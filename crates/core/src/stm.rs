@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::advisor::{ClassId, RunTelemetry, SemanticsSource};
 use crate::clock::GlobalClock;
 use crate::cm::{ConflictArbiter, ContentionManager, TxMeta};
-use crate::error::{Abort, Canceled, TxResult};
+use crate::error::{Abort, AbortCause, Canceled, TxResult};
 use crate::gate::IrrevGate;
 use crate::redo::{CommitInfo, RedoSink};
 use crate::semantics::{NestingPolicy, Semantics};
@@ -376,7 +376,7 @@ impl Stm {
             if let Some(t) = tsink {
                 t.record(TraceEvent::new(
                     trace::code::TXN_ABORT,
-                    abort.cause(sem).map_or(0, trace::cause_code),
+                    abort.cause(sem).map_or(0, AbortCause::code),
                     tclass,
                     attempt_retries,
                     abort.addr().unwrap_or(0) as u64,

@@ -23,7 +23,6 @@
 
 use std::sync::OnceLock;
 
-use crate::error::AbortCause;
 use crate::semantics::Semantics;
 
 /// One fixed-size (32-byte) binary trace event.
@@ -40,7 +39,7 @@ pub struct TraceEvent {
     pub code: u8,
     /// Kind-specific discriminant: a semantics code for transaction
     /// events, an abort-cause code for aborts (see [`semantics_code`]
-    /// and [`cause_code`]).
+    /// and [`crate::AbortCause::code`]).
     pub sub: u8,
     /// Transaction class ([`crate::ClassId`]), or [`NO_CLASS`].
     pub class: u16,
@@ -210,41 +209,13 @@ pub fn semantics_code(s: Semantics) -> u8 {
     }
 }
 
-/// Name for a [`semantics_code`] value.
+/// Name for a [`semantics_code`] value: the semantics'
+/// [`Semantics::label`], or `"unknown"`.
 pub fn semantics_name(sub: u8) -> &'static str {
-    match sub {
-        0 => "opaque",
-        1 => "elastic",
-        2 => "snapshot",
-        3 => "irrevocable",
-        _ => "unknown",
-    }
-}
-
-/// Stable wire code for an [`AbortCause`] (the `sub` of
-/// [`code::TXN_ABORT`] events).
-pub fn cause_code(c: AbortCause) -> u8 {
-    match c {
-        AbortCause::LockConflict => 1,
-        AbortCause::Validation => 2,
-        AbortCause::Cut => 3,
-        AbortCause::Capacity => 4,
-        AbortCause::Unavailable => 5,
-        AbortCause::Other => 6,
-    }
-}
-
-/// Name for a [`cause_code`] value.
-pub fn cause_name(sub: u8) -> &'static str {
-    match sub {
-        1 => "lock-conflict",
-        2 => "validation",
-        3 => "cut",
-        4 => "capacity",
-        5 => "unavailable",
-        6 => "other",
-        _ => "unknown",
-    }
+    [Semantics::Opaque, Semantics::elastic(), Semantics::Snapshot, Semantics::Irrevocable]
+        .into_iter()
+        .find(|&s| semantics_code(s) == sub)
+        .map_or("unknown", Semantics::label)
 }
 
 /// Where trace events go. Implementations must be wait-free on the
@@ -287,23 +258,22 @@ pub fn emit(build: impl FnOnce() -> TraceEvent) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AbortCause;
 
     #[test]
     fn codes_and_names_round_trip() {
-        for s in
-            [Semantics::Opaque, Semantics::elastic(), Semantics::Snapshot, Semantics::Irrevocable]
-        {
-            assert_ne!(semantics_name(semantics_code(s)), "unknown");
-        }
-        for c in [
-            AbortCause::LockConflict,
-            AbortCause::Validation,
-            AbortCause::Cut,
-            AbortCause::Capacity,
-            AbortCause::Unavailable,
-            AbortCause::Other,
+        for (s, code) in [
+            (Semantics::Opaque, 0),
+            (Semantics::elastic(), 1),
+            (Semantics::Snapshot, 2),
+            (Semantics::Irrevocable, 3),
         ] {
-            assert_ne!(cause_name(cause_code(c)), "unknown");
+            assert_eq!(semantics_code(s), code, "semantics codes are fixed on the wire");
+            assert_eq!(semantics_name(code), s.label());
+        }
+        assert_eq!(semantics_name(4), "unknown");
+        for (c, code) in AbortCause::ALL.into_iter().zip(1u8..) {
+            assert_eq!(c.code(), code, "abort-cause codes are fixed on the wire");
         }
         for k in 1..=19u8 {
             if k == 7 || k == 8 {

@@ -70,7 +70,8 @@ pub(crate) struct WritePayload(PayloadState);
 
 unsafe fn drop_erased<T>(p: *mut u64) {
     // SAFETY: caller guarantees `p` points at a live, properly aligned
-    // `T` stored by `WritePayload::new::<T>`.
+    // `T` stored by `WritePayload::new::<T>`. Exercised under ASan by
+    // `tests::inline_payload_roundtrips_and_drops_once`.
     unsafe { std::ptr::drop_in_place(p.cast::<T>()) }
 }
 
@@ -82,7 +83,8 @@ impl WritePayload {
         if fits_inline::<T>() {
             let mut data = [MaybeUninit::<u64>::uninit(); INLINE_WRITE_WORDS];
             // SAFETY: size/alignment checked above; `data` is writable
-            // and exclusively ours.
+            // and exclusively ours. Exercised under ASan by
+            // `tests::inline_payload_roundtrips_and_drops_once`.
             unsafe { std::ptr::write(data.as_mut_ptr().cast::<T>(), value) };
             WritePayload(PayloadState::Inline {
                 data,
@@ -112,6 +114,8 @@ impl WritePayload {
             PayloadState::Inline { data, ty, .. } => {
                 assert_eq!(*ty, TypeId::of::<T>(), "write payload type must match the TVar type");
                 // SAFETY: type checked above; value live while Inline.
+                // Exercised under ASan by
+                // `tests::small_string_and_arc_payloads_survive`.
                 Some(unsafe { &*data.as_ptr().cast::<T>() })
             }
             PayloadState::Boxed(b) => {
@@ -133,10 +137,13 @@ impl WritePayload {
                 // SAFETY: type checked; `ptr::read` moves the value out,
                 // and the overwrite below uses `ptr::write` so the
                 // now-logically-dead Inline state is not re-dropped.
+                // Exercised under ASan by
+                // `tests::inline_payload_roundtrips_and_drops_once`.
                 let value = unsafe { std::ptr::read(data.as_ptr().cast::<T>()) };
                 // SAFETY: overwriting the enum without running the old
                 // state's drop glue — exactly what we need, since the
-                // inline bytes were just moved out of.
+                // inline bytes were just moved out of. Exercised under
+                // ASan by `tests::inline_payload_roundtrips_and_drops_once`.
                 unsafe { std::ptr::write(&mut self.0, PayloadState::Empty) };
                 Some(value)
             }
@@ -162,7 +169,8 @@ impl WritePayload {
                 let p = data.as_mut_ptr().cast::<u64>();
                 // SAFETY: value is live while the state is Inline; the
                 // overwrite below skips the old state's drop glue so it
-                // is destroyed exactly once.
+                // is destroyed exactly once. Exercised under ASan by
+                // `tests::inline_payload_roundtrips_and_drops_once`.
                 unsafe {
                     f(p);
                     std::ptr::write(&mut self.0, PayloadState::Empty);
@@ -182,6 +190,8 @@ impl Drop for WritePayload {
         if let PayloadState::Inline { data, drop_fn, .. } = &mut self.0 {
             // SAFETY: value live while Inline; dropped exactly once
             // because every move-out overwrites the state with Empty.
+            // Exercised under ASan by
+            // `tests::inline_payload_roundtrips_and_drops_once`.
             unsafe { drop_fn(data.as_mut_ptr().cast::<u64>()) }
         }
     }

@@ -186,6 +186,7 @@ impl<T: TxValue> VarCore<T> {
         let mut cur = self.head.load(Ordering::Acquire, guard);
         while !cur.is_null() {
             // SAFETY: chain nodes are epoch-protected (see above).
+            // Exercised under ASan by `tests::snapshot_walks_history`.
             let node = unsafe { cur.deref() };
             if node.version <= bound {
                 return Some((node.value.clone(), node.version));
@@ -240,6 +241,8 @@ impl<T: TxValue> VarCore<T> {
         let mut cur = self.head.load(Ordering::Relaxed, guard);
         while !cur.is_null() {
             // SAFETY: lock held; nodes reachable and epoch-protected.
+            // Exercised under ASan by
+            // `tests::history_truncation_bounds_the_chain`.
             let node = unsafe { cur.deref() };
             let next = node.prev.load(Ordering::Relaxed, guard);
             if node.version <= watermark {
@@ -254,6 +257,8 @@ impl<T: TxValue> VarCore<T> {
                         // new chain; concurrent snapshot readers pinned
                         // before the severing may still hold them, which
                         // is exactly what deferred destruction protects.
+                        // Exercised under ASan by
+                        // `tests::history_truncation_bounds_the_chain`.
                         let after = unsafe { dead.deref() }.prev.load(Ordering::Relaxed, guard);
                         // SAFETY: as above — `dead` is unlinked, and
                         // destruction waits until every pin that could
@@ -274,6 +279,8 @@ impl<T> Drop for VarCore<T> {
     fn drop(&mut self) {
         // SAFETY: we have exclusive access (`&mut self` through drop), so
         // no concurrent readers exist and the chain can be freed eagerly.
+        // Exercised under ASan by `tests::snapshot_walks_history`, which
+        // drops a four-node chain.
         unsafe {
             let guard = epoch::unprotected();
             let mut cur = self.head.load(Ordering::Relaxed, guard);

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use polytm::{NestingPolicy, Semantics, Stm, TArray, TVar, TxParams};
+use polytm::{NestingPolicy, Semantics, Stm, TVar, TxParams};
 
 #[test]
 fn panic_in_closure_releases_reentrancy_guard() {
@@ -200,28 +200,6 @@ fn two_stms_are_independent() {
     assert_eq!(a.stats().commits, 1);
     assert_eq!(b.stats().commits, 1);
     assert_ne!(a.id(), b.id());
-}
-
-#[test]
-fn tarray_is_usable_across_threads() {
-    let stm = Stm::new();
-    let arr = TArray::new(&stm, 8, 0u64);
-    std::thread::scope(|s| {
-        for t in 0..4usize {
-            let stm = &stm;
-            let arr = arr.clone();
-            s.spawn(move || {
-                for _ in 0..200 {
-                    stm.run(TxParams::default(), |tx| {
-                        let v = arr.get(tx, t % 8)?;
-                        arr.set(tx, t % 8, v + 1)
-                    });
-                }
-            });
-        }
-    });
-    let total: u64 = arr.snapshot_atomic(&stm).iter().sum();
-    assert_eq!(total, 800);
 }
 
 #[test]

@@ -10,13 +10,32 @@
 //! any lock on the begin path.
 //!
 //! Structure note: the hosts running these tests may have a single CPU,
-//! so each race is driven by the *observer*'s progress (the writer loops
-//! and yields until the auditors have seen enough), never by a fixed
-//! writer iteration count that could finish before an auditor runs.
+//! so each race is driven by counts, never by a fixed writer iteration
+//! count that could finish before an auditor runs. The writer loops
+//! until the auditors stop it, and they stop only once they have
+//! audited `target` times *and* the irrevocable mover has committed at
+//! least `MOVER_FLOOR` times (`irrevocable_commits`), so no test passes
+//! without the race it exists for. The `yield_now` calls are courtesy
+//! to a single CPU, not an oracle: no stop condition counts yields or
+//! time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use polytm::{Semantics, Stm, TxParams};
+
+/// Irrevocable commits the mover must reach before an auditor may stop.
+const MOVER_FLOOR: u64 = 100;
+
+/// True once the auditors have done `target` audits and the mover has
+/// committed irrevocably at least [`MOVER_FLOOR`] times. Auditors the
+/// liveness fallback escalated commit irrevocably too, so upgrades are
+/// subtracted (recorded before their commit, so never an overcount).
+fn audited_enough(stm: &Stm, audits: &AtomicU64, target: u64) -> bool {
+    audits.load(Ordering::Relaxed) >= target && {
+        let s = stm.stats();
+        s.irrevocable_commits.saturating_sub(s.irrevocable_upgrades) >= MOVER_FLOOR
+    }
+}
 
 fn scaled(n: u64) -> u64 {
     let pct = std::env::var("POLYTM_STRESS_SCALE")
@@ -56,14 +75,15 @@ fn optimistic_begin_never_lands_inside_an_eager_write_window() {
                     // ...and y at a later wv. rv must not land between.
                     y.write(t, vy + delta)
                 });
-                // Single-CPU hosts: give the auditors a chance to begin
-                // mid-stream rather than only between our transactions.
+                // Courtesy, not an oracle: on a single CPU this lets the
+                // auditors begin mid-stream rather than only between our
+                // transactions; the stop condition counts commits.
                 std::thread::yield_now();
             }
         });
         for _ in 0..2 {
             s.spawn(move || {
-                while audits.load(Ordering::Relaxed) < target {
+                while !audited_enough(stm, audits, target) {
                     let sum = stm.run(TxParams::default(), |t| Ok(x.read(t)? + y.read(t)?));
                     assert_eq!(sum, 0, "opaque view tore an irrevocable eager-write window");
                     audits.fetch_add(1, Ordering::Relaxed);
@@ -72,7 +92,7 @@ fn optimistic_begin_never_lands_inside_an_eager_write_window() {
             });
         }
     });
-    assert!(audits.load(Ordering::Relaxed) >= target);
+    assert!(audited_enough(&stm, &audits, target));
     assert_eq!(x.load_committed() + y.load_committed(), 0);
 }
 
@@ -101,6 +121,7 @@ fn rv_extension_never_lands_inside_an_eager_write_window() {
                     let vy = y.read(t)?;
                     y.write(t, vy - 7)
                 });
+                // Courtesy to a single CPU, not an oracle (see above).
                 std::thread::yield_now();
             }
         });
@@ -108,6 +129,7 @@ fn rv_extension_never_lands_inside_an_eager_write_window() {
         s.spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 stm.run(TxParams::default(), |t| churn.modify(t, |v| v + 1));
+                // Courtesy to a single CPU, not an oracle (see above).
                 std::thread::yield_now();
             }
         });
@@ -116,7 +138,7 @@ fn rv_extension_never_lands_inside_an_eager_write_window() {
         // must revalidate the x read), then y. Tears abort and retry —
         // but a successfully *returned* view must be atomic.
         s.spawn(move || {
-            while audits.load(Ordering::Relaxed) < target {
+            while !audited_enough(stm, audits, target) {
                 let (sx, _, sy) = stm.run(TxParams::default(), |t| {
                     let sx = x.read(t)?;
                     let c = churn.read(t)?;
@@ -129,7 +151,7 @@ fn rv_extension_never_lands_inside_an_eager_write_window() {
             stop.store(true, Ordering::Relaxed);
         });
     });
-    assert!(audits.load(Ordering::Relaxed) >= target);
+    assert!(audited_enough(&stm, &audits, target));
     assert_eq!(x.load_committed() + y.load_committed(), 0);
 }
 
@@ -217,11 +239,12 @@ fn snapshot_views_exclude_eager_write_windows() {
                     let vy = y.read(t)?;
                     y.write(t, vy - 3)
                 });
+                // Courtesy to a single CPU, not an oracle (see above).
                 std::thread::yield_now();
             }
         });
         s.spawn(move || {
-            while audits.load(Ordering::Relaxed) < target {
+            while !audited_enough(stm, audits, target) {
                 let sum =
                     stm.run(TxParams::new(Semantics::Snapshot), |t| Ok(x.read(t)? + y.read(t)?));
                 assert_eq!(sum, 0, "snapshot view tore an irrevocable window");
@@ -230,5 +253,5 @@ fn snapshot_views_exclude_eager_write_windows() {
             stop.store(true, Ordering::Relaxed);
         });
     });
-    assert!(audits.load(Ordering::Relaxed) >= target);
+    assert!(audited_enough(&stm, &audits, target));
 }

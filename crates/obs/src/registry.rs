@@ -124,10 +124,11 @@ pub fn decode_entries(bytes: &[u8]) -> Result<Vec<(String, f64)>, String> {
     Ok(entries)
 }
 
-/// [`MetricsSource`] over an [`Stm`]'s [`polytm::StatsSnapshot`]:
-/// transaction counters under the registered prefix, durability
-/// counters under a nested `wal.` path (they live in the same sharded
-/// block, reported by the WAL's group-commit leader).
+/// [`MetricsSource`] over an [`Stm`]'s [`polytm::StatsSnapshot`]: every
+/// counter under its [`polytm::StatsSnapshot::counters`] key (the
+/// durability counters, reported by the WAL's group-commit leader into
+/// the same sharded block, under a nested `wal.` path), plus the
+/// derived `aborts` total and `abort_ratio`.
 pub struct StmMetrics {
     stm: Arc<Stm>,
 }
@@ -142,29 +143,9 @@ impl StmMetrics {
 impl MetricsSource for StmMetrics {
     fn collect(&self, out: &mut Vec<(String, f64)>) {
         let s = self.stm.stats();
-        let push = |out: &mut Vec<(String, f64)>, k: &str, v: u64| {
-            out.push((k.to_string(), v as f64));
-        };
-        push(out, "commits", s.commits);
-        push(out, "commits.irrevocable", s.irrevocable_commits);
-        push(out, "aborts", s.aborts());
-        push(out, "aborts.read_conflict", s.aborts_read_conflict);
-        push(out, "aborts.locked", s.aborts_locked);
-        push(out, "aborts.validation", s.aborts_validation);
-        push(out, "aborts.cut", s.aborts_elastic_cut);
-        push(out, "aborts.capacity", s.aborts_capacity);
-        push(out, "aborts.unavailable", s.aborts_unavailable);
-        push(out, "aborts.other", s.aborts_user_retry);
+        out.extend(s.counters().map(|(key, v)| (key.to_string(), v as f64)));
+        out.push(("aborts".to_string(), s.aborts() as f64));
         out.push(("abort_ratio".to_string(), s.abort_ratio()));
-        push(out, "cuts", s.elastic_cuts);
-        push(out, "extensions", s.extensions);
-        push(out, "upgrades.irrevocable", s.irrevocable_upgrades);
-        push(out, "boxed_writes", s.boxed_writes);
-        push(out, "point_reads", s.point_reads);
-        push(out, "wal.commits_durable", s.commits_durable);
-        push(out, "wal.group_commit_batches", s.group_commit_batches);
-        push(out, "wal.fsyncs", s.fsyncs);
-        push(out, "wal.bytes", s.wal_bytes);
     }
 }
 

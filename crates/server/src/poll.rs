@@ -68,7 +68,8 @@ mod sys {
         let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
         // SAFETY: `fds` is a valid, exclusively borrowed array of
         // `nfds` pollfd structs matching the kernel ABI layout, live
-        // for the duration of the call.
+        // for the duration of the call. Exercised under ASan by
+        // `tests::listener_becomes_readable_on_connect`.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
         if rc <= 0 {
             return vec![0; interests.len()];

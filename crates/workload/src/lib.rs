@@ -13,8 +13,6 @@
 //! * [`driver`] — the [`driver::ConcurrentSet`] abstraction plus a
 //!   multi-threaded timed driver with prefill, warmup and a measured
 //!   window;
-//! * [`hist`] — a mergeable log-bucketed latency histogram
-//!   (p50/p95/p99/p999);
 //! * [`table`] — the fixed-width ASCII table the experiment reports
 //!   print.
 
@@ -22,14 +20,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod driver;
-pub mod hist;
 pub mod keys;
 pub mod mix;
 pub mod rng;
 pub mod table;
 
 pub use driver::{run_workload, ConcurrentSet, Measurement, WorkloadSpec};
-pub use hist::LatencyHistogram;
 pub use keys::KeyStream;
 pub use mix::{OpKind, OpMix};
 pub use rng::SplitMix64;

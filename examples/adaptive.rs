@@ -119,9 +119,9 @@ fn main() {
 
     let stats = stm.stats();
     println!(
-        "total: {} commits, {} aborts (lock/validation/cut/capacity: {:?})",
+        "total: {} commits, {} aborts {:?}",
         stats.commits,
         stats.aborts(),
-        stats.aborts_by_cause().map(|(_, n)| n),
+        stats.aborts_by_cause(),
     );
 }
