@@ -11,7 +11,7 @@ use polytm_schedule::{
     accepts, check_theorem1, check_theorem2, figure1_interleaving, figure1_lock_schedule,
     figure1_program, replay, Synchronization,
 };
-use polytm_structures::{TxCounter, TxList};
+use polytm_structures::{TxCounter, TxList, TxSkipList};
 use polytm_workload::{run_workload, OpMix, Table, WorkloadSpec};
 
 use crate::adapters::{make_hash_impl, make_list_impl, HASH_IMPLS, LIST_IMPLS};
@@ -527,6 +527,88 @@ pub fn micro_single_thread(profile: &Profile) -> String {
     t.render()
 }
 
+/// Run `op(thread)` on `threads` threads at once, each timed as
+/// [`time_ops`] times one after a common start line, and return the
+/// ops/second summed over the threads.
+fn time_ops_on(profile: &Profile, threads: usize, op: impl Fn(usize) + Sync) -> f64 {
+    let start_line = std::sync::Barrier::new(threads);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (op, start_line) = (&op, &start_line);
+                s.spawn(move || {
+                    start_line.wait();
+                    time_ops(profile, || op(t))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("micro thread panicked")).sum()
+    })
+}
+
+/// Micro — do reads scale? Read-only opaque transactions of 32 reads
+/// over 32 `TVar<u64>`s both threads share, over 32 of each thread's
+/// own, and elastic `contains` on a 2^12-key skip list, each on one
+/// thread and on two, with the two-thread total over the one-thread
+/// rate. Thread counts stop at `available_parallelism`: a row with more
+/// busy threads than CPUs would measure the scheduler.
+pub fn micro_read_scaling(profile: &Profile) -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut t = Table::new(
+        format!("micro: reads on 1 and 2 threads ({cpus} CPUs available)"),
+        &["reads", "threads", "txns/s (all threads)", "2 threads / 1"],
+    );
+    let mut rows = |shape: &str, op: &(dyn Fn(usize) + Sync)| {
+        let one = time_ops_on(profile, 1, op);
+        t.row(&[shape.to_string(), "1".to_string(), format!("{one:.0}"), String::new()]);
+        if cpus >= 2 {
+            let two = time_ops_on(profile, 2, op);
+            t.row(&[
+                shape.to_string(),
+                "2".to_string(),
+                format!("{two:.0}"),
+                format!("{:.2}x", two / one),
+            ]);
+        }
+    };
+    let read_all = |stm: &Stm, vars: &[polytm::TVar<u64>]| {
+        stm.run(TxParams::new(Semantics::Opaque), |tx| {
+            let mut acc = 0u64;
+            for v in vars {
+                acc += v.read(tx)?;
+            }
+            Ok(std::hint::black_box(acc))
+        });
+    };
+    let stm = Stm::new();
+    let shared: Vec<_> = (0..32).map(|i| stm.new_tvar(i as u64)).collect();
+    rows("32 shared, opaque", &|_| read_all(&stm, &shared));
+    let own: Vec<Vec<_>> =
+        (0..2).map(|_| (0..32).map(|i| stm.new_tvar(i as u64)).collect()).collect();
+    rows("32 disjoint, opaque", &|t| read_all(&stm, &own[t]));
+    let set = TxSkipList::new(Arc::new(Stm::new()));
+    for key in 0..1 << 12 {
+        set.insert(key);
+    }
+    thread_local! {
+        static DRAW: std::cell::Cell<u64> = const { std::cell::Cell::new(0x9E37_79B9_7F4A_7C15) };
+    }
+    rows("skip-list contains, 2^12 keys", &|_| {
+        // A per-thread xorshift draw: the row writes no shared line of
+        // its own. Two keys in three are present.
+        let r = DRAW.with(|d| {
+            let mut x = d.get();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            d.set(x);
+            x
+        });
+        std::hint::black_box(set.contains(((r >> 33) % (3 << 11)) as i64));
+    });
+    t.render()
+}
+
 /// Run one experiment by id ("e1".."e10", "micro") or "all"; returns the
 /// report.
 pub fn run_experiment(id: &str, profile: &Profile) -> Option<String> {
@@ -541,7 +623,7 @@ pub fn run_experiment(id: &str, profile: &Profile) -> Option<String> {
         "e8" => e8_nesting_policies(profile),
         "e9" => e9_snapshot_scans(profile),
         "e10" => e10_contention_managers(profile),
-        "micro" => micro_single_thread(profile),
+        "micro" => micro_single_thread(profile) + "\n" + &micro_read_scaling(profile),
         "all" => {
             let mut all = String::new();
             for id in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "micro"] {

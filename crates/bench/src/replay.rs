@@ -94,6 +94,9 @@ pub struct ClassTimeline {
     pub retry_begins: u64,
     /// Committed transactions, indexed by semantics code (0..=3).
     pub commits_by_semantics: [u64; 4],
+    /// Committed transactions whose semantics byte names no semantics
+    /// (a corrupt or newer trace): counted here, not as any of the four.
+    pub commits_unknown_semantics: u64,
     /// Aborted attempts by cause (an event whose cause byte names no
     /// [`AbortCause`] counts as [`AbortCause::Other`]).
     pub aborts_by_cause: AbortCounts,
@@ -111,7 +114,7 @@ pub struct ClassTimeline {
 impl ClassTimeline {
     /// Total commits across semantics.
     pub fn commits(&self) -> u64 {
-        self.commits_by_semantics.iter().sum()
+        self.commits_by_semantics.iter().sum::<u64>() + self.commits_unknown_semantics
     }
 
     /// Total aborted attempts across causes.
@@ -319,7 +322,10 @@ pub fn replay(rings: &[(u32, &[TraceEvent])]) -> TraceReport {
                     match ev.code {
                         code::TXN_BEGIN => t.retry_begins += 1,
                         code::TXN_COMMIT => {
-                            t.commits_by_semantics[(ev.sub as usize).min(3)] += 1;
+                            match t.commits_by_semantics.get_mut(ev.sub as usize) {
+                                Some(n) => *n += 1,
+                                None => t.commits_unknown_semantics += 1,
+                            }
                             let bucket = ((ev.ts_ns - first_ts) as u128 * TIMELINE_BUCKETS as u128
                                 / span as u128)
                                 .min(TIMELINE_BUCKETS as u128 - 1)
@@ -535,6 +541,9 @@ pub fn render(report: &TraceReport, top: usize) -> String {
                 let _ = writeln!(out, "  commits[{}] {}", trace::semantics_name(sem), n);
             }
         }
+        if t.commits_unknown_semantics > 0 {
+            let _ = writeln!(out, "  commits[unknown] {}", t.commits_unknown_semantics);
+        }
         for (cause, n) in t.aborts_by_cause.iter().filter(|&(_, n)| n > 0) {
             let _ = writeln!(out, "  aborts[{}] {}", cause.name(), n);
         }
@@ -742,6 +751,21 @@ mod tests {
         assert!(text.contains("class 3"));
         assert!(text.contains("addr 0xab"));
         assert!(text.contains("ops/commit"));
+    }
+
+    /// A commit whose semantics byte names no semantics is counted apart
+    /// (and shown), not filed under irrevocable.
+    #[test]
+    fn a_commit_of_unknown_semantics_is_counted_apart() {
+        let events =
+            vec![ev(code::TXN_COMMIT, 9, 5, 0, 0, 0, 10), ev(code::TXN_COMMIT, 3, 5, 0, 0, 0, 20)];
+        let r = replay(&[(0, events.as_slice())]);
+        let t = &r.classes[&5];
+        assert_eq!(t.commits_by_semantics, [0, 0, 0, 1], "only the real irrevocable commit");
+        assert_eq!((t.commits_unknown_semantics, t.commits()), (1, 2));
+        let text = render(&r, 10);
+        assert!(text.contains("commits[unknown] 1"), "{text}");
+        assert!(text.contains("commits[irrevocable] 1"), "{text}");
     }
 
     #[test]

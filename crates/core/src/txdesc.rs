@@ -21,7 +21,7 @@ use std::any::{Any, TypeId};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::Arc;
+use std::ptr::NonNull;
 
 use crate::tvar::TxValue;
 use crate::varcore::TxSlot;
@@ -379,9 +379,39 @@ impl AddrIndex {
 // TxDescriptor
 // ---------------------------------------------------------------------
 
+/// An uncounted pointer to a location's core, as the read and write sets
+/// hold it: recording an access writes nothing the location's other
+/// readers share.
+///
+/// Valid while the attempt that recorded it is pinned. The attempt pins
+/// before its first access and holds the pin until it ends, and the
+/// descriptor is cleared when it ends; a core is freed only through the
+/// epoch, after its last handle is gone (tvar.rs), so no free can
+/// complete while the recording attempt is pinned.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotRef(NonNull<dyn TxSlot>);
+
+impl SlotRef {
+    /// Records `slot`; the caller's attempt must already be pinned.
+    #[inline]
+    pub(crate) fn new(slot: &(dyn TxSlot + 'static)) -> Self {
+        SlotRef(NonNull::from(slot))
+    }
+
+    /// The location's core.
+    #[inline]
+    pub(crate) fn get(&self) -> &dyn TxSlot {
+        // SAFETY: see the type's docs — the recording attempt is still
+        // pinned whenever its descriptor holds entries. Exercised under
+        // ASan by `polytm/tests/drop_while_read.rs`, which drops a
+        // register's last handle while an attempt that read it is open.
+        unsafe { self.0.as_ref() }
+    }
+}
+
 /// One read-set entry.
 pub(crate) struct ReadEntry {
-    pub(crate) slot: Arc<dyn TxSlot>,
+    pub(crate) slot: SlotRef,
     pub(crate) addr: usize,
     /// Version of the value observed.
     pub(crate) seen: u64,
@@ -392,7 +422,7 @@ pub(crate) struct ReadEntry {
 
 /// One buffered write.
 pub(crate) struct WriteEntry {
-    pub(crate) slot: Arc<dyn TxSlot>,
+    pub(crate) slot: SlotRef,
     pub(crate) addr: usize,
     /// Empty only for entries superseded by a later eager write, and
     /// transiently while the value is being published.
@@ -430,8 +460,8 @@ impl Default for AddrIndex {
 }
 
 impl TxDescriptor {
-    /// Drops all buffered state (read-set `Arc`s, write payloads, commit
-    /// scratch), retaining every buffer's capacity for reuse.
+    /// Drops all buffered state (read and write sets, write payloads,
+    /// commit scratch), retaining every buffer's capacity for reuse.
     pub(crate) fn clear(&mut self) {
         self.reads.clear();
         self.read_index.clear();
@@ -484,6 +514,7 @@ pub(crate) fn stash_descriptor(desc: Box<TxDescriptor>) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn addr_index_small_mode_roundtrip() {

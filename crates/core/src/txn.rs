@@ -20,12 +20,14 @@
 //! attempts and transactions (zero steady-state allocation); read
 //! versions are sampled through the gate-free era double-check in
 //! `gate.rs` (no RMW, no lock); the global clock is an Acquire/Release
-//! CAS (no SeqCst); and the epoch pin is cached per transaction,
-//! released around arbitrated waits so a stalled conflict never stalls
-//! reclamation.
+//! CAS (no SeqCst); and an attempt pins the epoch once, before its first
+//! access, and holds that pin until it ends — arbitrated waits and the
+//! commit included. The pin is what lets the read and write sets point
+//! at locations without counting references, and a read return the
+//! committed value by reference ([`crate::TVar::read_in`]): a read
+//! writes nothing another reader of the location shares.
 
 use std::mem::ManuallyDrop;
-use std::sync::Arc;
 
 use crossbeam_epoch as epoch;
 
@@ -36,13 +38,29 @@ use crate::semantics::{compose, NestingPolicy, Semantics};
 use crate::stm::Stm;
 use crate::tvar::TxValue;
 use crate::txdesc::{
-    stash_descriptor, take_descriptor, ReadEntry, TxDescriptor, WriteEntry, WritePayload,
+    stash_descriptor, take_descriptor, ReadEntry, SlotRef, TxDescriptor, WriteEntry, WritePayload,
 };
-use crate::varcore::{CommittedRead, TxSlot, VarCore};
+use crate::varcore::{TxSlot, VarCore, VersionNode};
 
-/// How many reads between refreshes of the cached epoch pin (see
-/// [`Transaction::pin`]).
-const PIN_REFRESH_INTERVAL: u32 = 64;
+/// Where [`Transaction::read_ref`] found the value it returns.
+pub(crate) enum ReadRef<'r, T> {
+    /// A committed version: immutable, and not freed while the attempt
+    /// (or any guard pinned before the read) stays pinned.
+    Committed(&'r T),
+    /// This attempt's own buffered write, which its next write to the
+    /// location replaces.
+    Own(&'r T),
+}
+
+impl<'r, T> ReadRef<'r, T> {
+    /// The value, wherever it lies.
+    #[inline]
+    pub(crate) fn get(&self) -> &'r T {
+        match *self {
+            ReadRef::Committed(value) | ReadRef::Own(value) => value,
+        }
+    }
+}
 
 /// An in-flight transaction attempt. See the module docs.
 pub struct Transaction<'s> {
@@ -66,14 +84,9 @@ pub struct Transaction<'s> {
     /// Pooled read/write sets and commit scratch; returned to the pool
     /// (cleared) by `Drop`.
     desc: ManuallyDrop<Box<TxDescriptor>>,
-    /// Cached epoch pin: taken on first need, dropped around arbitrated
-    /// waits (a parked transaction must not stall reclamation) and at
-    /// the end of the attempt.
+    /// The attempt's epoch pin: taken before its first access, held
+    /// until the attempt ends (see [`Transaction::pin`]).
     guard: Option<epoch::Guard>,
-    /// Snapshot reads since the cached pin was last refreshed (see
-    /// [`Transaction::pin`]'s refresh rule; optimistic reads count via
-    /// the read-set length in `push_read` instead).
-    pin_uses: u32,
     /// Slot in the STM's snapshot registry protecting this
     /// transaction's read bound from version-chain truncation, when one
     /// was free. `None` for non-snapshot semantics, and for snapshot
@@ -148,7 +161,6 @@ impl<'s> Transaction<'s> {
             direct_reads: 0,
             desc: ManuallyDrop::new(take_descriptor()),
             guard: None,
-            pin_uses: 0,
             snap_slot,
             era,
             wait_gate_ns,
@@ -223,38 +235,29 @@ impl<'s> Transaction<'s> {
         self.desc.redo.extend_from_slice(bytes);
     }
 
-    /// The cached epoch pin, taken lazily.
-    ///
-    /// The vendored epoch frees deferred garbage only when the global
-    /// pin count is *observed at zero*, so a pin held for a whole long
-    /// transaction (with other transactions overlapping it) could
-    /// starve reclamation indefinitely. Long transactions therefore
-    /// refresh the pin periodically — every [`PIN_REFRESH_INTERVAL`]th
-    /// read-set entry (`push_read`) or snapshot read (`read_var`) —
-    /// keeping ~1/64 of the seed's per-read pin cost while guaranteeing
-    /// zero-pin windows keep opening for the collector. The refresh
-    /// check lives on those already-slow paths so this accessor stays
-    /// two instructions.
+    /// The attempt's epoch pin, taken before its first access and held
+    /// until the attempt ends. It keeps every version node the attempt
+    /// read, and every location core its read and write sets point at,
+    /// from being freed (DESIGN.md §1, "Memory-safety argument"). Held
+    /// through arbitrated waits too: with per-thread epochs a long pin
+    /// delays only the garbage unlinked while it lives.
     #[inline]
     fn pin(&mut self) -> &epoch::Guard {
-        if self.guard.is_none() {
-            self.guard = Some(epoch::pin());
-        }
-        self.guard.as_ref().expect("just pinned")
-    }
-
-    /// Releases the cached pin (before waits and sleeps).
-    #[inline]
-    fn unpin(&mut self) {
-        self.guard = None;
-        self.pin_uses = 0;
+        self.guard.get_or_insert_with(epoch::pin)
     }
 
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
-    pub(crate) fn read_var<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) -> TxResult<T> {
+    /// The one transactional read: the value this attempt reads from
+    /// `core`, by reference. [`crate::TVar::read`] clones it and
+    /// [`crate::TVar::read_in`] lends it out under a guard; both record
+    /// the read exactly as this does.
+    pub(crate) fn read_ref<'r, T: TxValue>(
+        &'r mut self,
+        core: &'r VarCore<T>,
+    ) -> TxResult<ReadRef<'r, T>> {
         debug_assert!(
             core.stm_id == 0 || core.stm_id == self.stm.id(),
             "TVar used with an Stm instance other than the one that created it"
@@ -266,53 +269,10 @@ impl<'s> Transaction<'s> {
                 .payload
                 .get_ref::<T>()
                 .expect("write-set value present outside commit");
-            return Ok(value.clone());
+            return Ok(ReadRef::Own(value));
         }
-        match self.semantics {
-            Semantics::Snapshot => {
-                // Refresh the cached pin *before* this read begins, so
-                // the guard taken for the chain walk below spans the
-                // whole head-load-to-deref path — a refresh between
-                // those two points could open a reclamation window
-                // under a node the walk still holds.
-                if self.pin_uses >= PIN_REFRESH_INTERVAL {
-                    self.unpin();
-                }
-                self.pin_uses += 1;
-                let rv = self.rv;
-                // Wait-free against committers: a committer locks its
-                // whole write set *before* taking its write version and
-                // announces the version on every held lock right after
-                // (pending_wv). If the announced wv > rv, the entire
-                // commit serializes after our cut — every version
-                // `<= rv` is already on the chain, frozen (later
-                // commits only prepend strictly newer versions), so we
-                // walk it without arbitrating. We only wait in the
-                // sentinel window (locked, wv not yet announced) or
-                // when wv <= rv (the committer's value belongs in our
-                // cut but is not published yet); both waits stay
-                // arbitrated so a leaked lock aborts us instead of
-                // spinning forever. See DESIGN.md "MVCC read path" for
-                // the ordering proof (including why an announced wv can
-                // never be a stale leftover of an earlier committer).
-                let mut spins = 0u32;
-                loop {
-                    let p = core.probe();
-                    if !p.locked {
-                        break;
-                    }
-                    let wv = core.pending_wv();
-                    if wv != 0 && wv > rv {
-                        break;
-                    }
-                    self.arbitrate_lock(addr, p.owner, &mut spins)?;
-                }
-                self.direct_reads += 1;
-                match core.read_snapshot(rv, self.pin()) {
-                    Some((v, _)) => Ok(v),
-                    None => Err(self.snapshot_miss(addr)),
-                }
-            }
+        let node = match self.semantics {
+            Semantics::Snapshot => self.read_snapshot(core, addr)?,
             Semantics::Irrevocable => {
                 // The era is ours: no other transaction can commit, so
                 // the committed state is frozen apart from our own
@@ -329,33 +289,75 @@ impl<'s> Transaction<'s> {
                 // stm.rs, which beats spinning forever on a leaked
                 // lock.
                 self.direct_reads += 1;
-                let mut spins = 0u32;
-                loop {
-                    match core.read_committed(self.pin()) {
-                        CommittedRead::Value(v, _) => return Ok(v),
-                        CommittedRead::Locked(owner) => {
-                            debug_assert!(
-                                false,
-                                "location {addr:#x} locked by {owner} during an irrevocable \
-                                 read; the era grant should exclude all committers"
-                            );
-                            self.arbitrate_lock(addr, owner, &mut spins)?;
-                        }
-                    }
-                }
+                debug_assert!(
+                    core.committed_head(self.pin()).is_ok(),
+                    "location {addr:#x} locked during an irrevocable read; the era grant \
+                     should exclude all committers"
+                );
+                self.wait_committed_head(core, addr)?.0
             }
-            Semantics::Opaque | Semantics::Elastic { .. } => self.read_optimistic(core, addr),
-        }
+            Semantics::Opaque | Semantics::Elastic { .. } => self.read_optimistic(core, addr)?,
+        };
+        // SAFETY: `node` was reached under this attempt's pin, which is
+        // held until the attempt drops — after `'r`, which borrows the
+        // attempt. Version nodes are immutable and freed only through
+        // the epoch once unlinked, and `core` (whose drop frees its
+        // chain) outlives `'r` too. Exercised under ASan by every
+        // transactional read, and with the core's last handle dropped
+        // mid-attempt by `tests/drop_while_read.rs`.
+        Ok(ReadRef::Committed(unsafe { &(*node).value }))
     }
 
-    fn read_optimistic<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, addr: usize) -> TxResult<T> {
+    fn read_snapshot<T: TxValue>(
+        &mut self,
+        core: &VarCore<T>,
+        addr: usize,
+    ) -> TxResult<*const VersionNode<T>> {
+        let rv = self.rv;
+        // Wait-free against committers: a committer locks its
+        // whole write set *before* taking its write version and
+        // announces the version on every held lock right after
+        // (pending_wv). If the announced wv > rv, the entire
+        // commit serializes after our cut — every version
+        // `<= rv` is already on the chain, frozen (later
+        // commits only prepend strictly newer versions), so we
+        // walk it without arbitrating. We only wait in the
+        // sentinel window (locked, wv not yet announced) or
+        // when wv <= rv (the committer's value belongs in our
+        // cut but is not published yet); both waits stay
+        // arbitrated so a leaked lock aborts us instead of
+        // spinning forever. See DESIGN.md "MVCC read path" for
+        // the ordering proof (including why an announced wv can
+        // never be a stale leftover of an earlier committer).
+        let mut spins = 0u32;
+        loop {
+            let p = core.probe();
+            if !p.locked {
+                break;
+            }
+            let wv = core.pending_wv();
+            if wv != 0 && wv > rv {
+                break;
+            }
+            self.arbitrate_lock(addr, p.owner, &mut spins)?;
+        }
+        self.direct_reads += 1;
+        let node = core.snapshot_node(rv, self.pin()).map(|node| node as *const VersionNode<T>);
+        node.ok_or_else(|| self.snapshot_miss(addr))
+    }
+
+    fn read_optimistic<T: TxValue>(
+        &mut self,
+        core: &VarCore<T>,
+        addr: usize,
+    ) -> TxResult<*const VersionNode<T>> {
         if let Some(idx) = self.desc.read_index.get(addr) {
             // Re-read: the location must still carry the version we saw,
             // otherwise two reads of the same location would return
             // different values inside one transaction.
             let seen = self.desc.reads[idx as usize].seen;
-            let (value, ver) = self.wait_read_committed(core, addr)?;
-            return if ver == seen { Ok(value) } else { Err(Abort::ReadConflict { addr }) };
+            let (node, ver) = self.wait_committed_head(core, addr)?;
+            return if ver == seen { Ok(node) } else { Err(Abort::ReadConflict { addr }) };
         }
         // Elastic cut rule (ε-STM): the critical-step window *includes*
         // the incoming access, so before validating the new read, shed the
@@ -366,7 +368,7 @@ impl<'s> Transaction<'s> {
                 self.cut_to(window.max(1) - 1);
             }
         }
-        let (mut value, mut ver) = self.wait_read_committed(core, addr)?;
+        let (mut node, mut ver) = self.wait_committed_head(core, addr)?;
         while ver > self.rv {
             // The location changed after we started: try to slide our
             // serialization point forward. Live reads must all still be
@@ -378,26 +380,28 @@ impl<'s> Transaction<'s> {
             // buffered value would let a commit with `wv == rv + 1` skip
             // validation over a stale read (a lost update). Re-read and
             // re-check against the extended rv.
-            let (v, newer) = self.wait_read_committed(core, addr)?;
-            value = v;
-            ver = newer;
+            (node, ver) = self.wait_committed_head(core, addr)?;
         }
-        self.push_read(Arc::clone(core) as Arc<dyn TxSlot>, addr, ver);
-        Ok(value)
+        // The attempt is pinned (the head load above pinned it), so the
+        // uncounted pointer stays valid until the descriptor is cleared.
+        self.push_read(SlotRef::new(core), addr, ver);
+        Ok(node)
     }
 
-    /// Optimistically read a committed value, arbitrating with the
-    /// contention manager while the location is locked by a committer.
-    fn wait_read_committed<T: TxValue>(
+    /// The committed head of `core` and its version, arbitrating with
+    /// the contention manager while a committer holds the location's
+    /// lock. A raw pointer, so the caller can go on updating the attempt;
+    /// the node stays valid under the attempt's pin (see `read_ref`).
+    fn wait_committed_head<T: TxValue>(
         &mut self,
-        core: &Arc<VarCore<T>>,
+        core: &VarCore<T>,
         addr: usize,
-    ) -> TxResult<(T, u64)> {
+    ) -> TxResult<(*const VersionNode<T>, u64)> {
         let mut spins = 0u32;
         loop {
-            let owner = match core.read_committed(self.pin()) {
-                CommittedRead::Value(v, ver) => return Ok((v, ver)),
-                CommittedRead::Locked(owner) => owner,
+            let owner = match core.committed_head(self.pin()) {
+                Ok(node) => return Ok((node, node.version)),
+                Err(owner) => owner,
             };
             self.arbitrate_lock(addr, owner, &mut spins)?;
         }
@@ -421,13 +425,13 @@ impl<'s> Transaction<'s> {
     /// One arbitration round against the transaction currently holding a
     /// location lock: either aborts this transaction
     /// ([`Abort::Locked`]) or backs off politely and lets the caller
-    /// re-probe. Shared by every lock-wait loop in the runtime. Releases
-    /// the cached epoch pin before waiting.
+    /// re-probe. Shared by every lock-wait loop in the runtime. The
+    /// attempt stays pinned while it waits: the contention manager bounds
+    /// the wait, and per-thread epochs let everyone else's garbage go.
     fn arbitrate_lock(&mut self, addr: usize, owner: u64, spins: &mut u32) -> TxResult<()> {
         match self.arbiter.on_conflict(&self.meta, owner, *spins) {
             ConflictDecision::AbortSelf => Err(Abort::Locked { addr, owner }),
             ConflictDecision::Wait => {
-                self.unpin();
                 *spins += 1;
                 // Already the contention slow path: two clock reads
                 // around the spin are noise next to the wait itself, and
@@ -443,14 +447,8 @@ impl<'s> Transaction<'s> {
     }
 
     /// Append a read-set entry; elastic reads also enter the cut window.
-    fn push_read(&mut self, slot: Arc<dyn TxSlot>, addr: usize, seen: u64) {
+    fn push_read(&mut self, slot: SlotRef, addr: usize, seen: u64) {
         let idx = self.desc.reads.len() as u32;
-        // Periodic pin refresh for long transactions (see `pin`): the
-        // value for this read is already cloned, so the guard can lapse
-        // here without extending any borrow.
-        if (idx + 1).is_multiple_of(PIN_REFRESH_INTERVAL) {
-            self.unpin();
-        }
         self.desc.reads.push(ReadEntry { slot, addr, seen, dead: false });
         self.desc.read_index.insert(addr, idx);
         if let Semantics::Elastic { window } = self.semantics {
@@ -488,9 +486,8 @@ impl<'s> Transaction<'s> {
         let now = if self.era.is_some() {
             self.stm.clock().now()
         } else {
-            // The sampler may spin behind an open era: release the pin
-            // so the wait cannot stall epoch reclamation.
-            self.unpin();
+            // The sampler may spin behind an open era, still pinned: an
+            // open era admits no other commit, so little garbage waits.
             let stm = self.stm;
             stm.gate().sample_rv(
                 stm.clock(),
@@ -498,7 +495,7 @@ impl<'s> Transaction<'s> {
             )
         };
         for entry in self.desc.reads.iter().filter(|e| !e.dead) {
-            let p = entry.slot.probe();
+            let p = entry.slot.get().probe();
             if p.locked || p.version != entry.seen {
                 return Err(Abort::ReadConflict { addr: entry.addr });
             }
@@ -525,11 +522,7 @@ impl<'s> Transaction<'s> {
     // Writes
     // ------------------------------------------------------------------
 
-    pub(crate) fn write_var<T: TxValue>(
-        &mut self,
-        core: &Arc<VarCore<T>>,
-        value: T,
-    ) -> TxResult<()> {
+    pub(crate) fn write_var<T: TxValue>(&mut self, core: &VarCore<T>, value: T) -> TxResult<()> {
         debug_assert!(
             core.stm_id == 0 || core.stm_id == self.stm.id(),
             "TVar used with an Stm instance other than the one that created it"
@@ -576,6 +569,8 @@ impl<'s> Transaction<'s> {
         if !crate::txdesc::fits_inline::<T>() {
             self.stm.raw_stats().record_boxed_write();
         }
+        // The write set points at the core uncounted: pin first.
+        self.pin();
         // First write freezes the elastic window: the remaining window
         // entries become permanent read-set entries, validated at commit.
         if self.desc.writes.is_empty() {
@@ -588,7 +583,7 @@ impl<'s> Transaction<'s> {
             None => {
                 let idx = self.desc.writes.len() as u32;
                 self.desc.writes.push(WriteEntry {
-                    slot: Arc::clone(core) as Arc<dyn TxSlot>,
+                    slot: SlotRef::new(core),
                     addr,
                     payload: WritePayload::new(value),
                 });
@@ -710,20 +705,18 @@ impl<'s> Transaction<'s> {
                 if self.desc.writes.iter().any(|e| !e.payload.is_empty()) {
                     let wv = self.stm.clock().tick();
                     let watermark = self.stm.snapreg().watermark(wv);
-                    if self.guard.is_none() {
-                        self.guard = Some(epoch::pin());
-                    }
-                    let guard = self.guard.as_ref().expect("pinned above");
+                    let guard = self.guard.get_or_insert_with(epoch::pin);
                     for entry in self.desc.writes.iter_mut() {
                         // Entries emptied by a later eager write to the
                         // same location are superseded; skip them.
                         if entry.payload.is_empty() {
                             continue;
                         }
-                        while entry.slot.try_lock(self.meta.birth_ts).is_err() {
+                        let slot = entry.slot.get();
+                        while slot.try_lock(self.meta.birth_ts).is_err() {
                             std::hint::spin_loop();
                         }
-                        entry.slot.publish_payload(&mut entry.payload, wv, watermark, guard);
+                        slot.publish_payload(&mut entry.payload, wv, watermark, guard);
                     }
                 }
                 if receipt.writes > 0 {
@@ -782,10 +775,8 @@ impl<'s> Transaction<'s> {
 
     fn commit_writes(&mut self) -> TxResult<(u64, Option<u64>)> {
         // Registration may spin for the whole duration of an open
-        // irrevocable era (arbitrary user code): release the cached pin
-        // first so a queued committer never stalls epoch reclamation.
-        // The publish phase re-pins lazily.
-        self.unpin();
+        // irrevocable era (arbitrary user code), still pinned: the era
+        // admits no other commit, so little garbage piles up behind it.
         // Register as an in-flight writing commit, waiting out any
         // irrevocable era first. Registration precedes every per-location
         // lock, preserving the seed's gate -> locations lock order; the
@@ -822,7 +813,7 @@ impl<'s> Transaction<'s> {
             let mut spins = 0u32;
             loop {
                 let entry = &self.desc.writes[i as usize];
-                match entry.slot.try_lock(self.meta.birth_ts) {
+                match entry.slot.get().try_lock(self.meta.birth_ts) {
                     Ok(prior) => {
                         acquired.push((i, prior));
                         break;
@@ -850,7 +841,7 @@ impl<'s> Transaction<'s> {
         // phase. `release_acquired` withdraws the announcements if
         // validation fails below.
         for &(i, _) in acquired.iter() {
-            self.desc.writes[i as usize].slot.publish_wv(wv);
+            self.desc.writes[i as usize].slot.get().publish_wv(wv);
         }
 
         // Validate live reads. Locations we hold locks on are validated
@@ -866,7 +857,7 @@ impl<'s> Transaction<'s> {
                 let current = match lookup {
                     Ok(pos) => acquired[pos].1,
                     Err(_) => {
-                        let p = entry.slot.probe();
+                        let p = entry.slot.get().probe();
                         if p.locked {
                             self.release_acquired(acquired);
                             return Err(Abort::ValidationFailed { addr: entry.addr });
@@ -898,21 +889,19 @@ impl<'s> Transaction<'s> {
         // short critical section, not I/O.
         let log_seq = self.append_redo(wv);
 
-        // Publish & unlock, pinned once for the whole batch.
-        if self.guard.is_none() {
-            self.guard = Some(epoch::pin());
-        }
-        let guard = self.guard.as_ref().expect("pinned above");
+        // Publish & unlock under the attempt's pin (taken at its first
+        // write, if not at a read before).
+        let guard = self.guard.get_or_insert_with(epoch::pin);
         for &(i, _) in acquired.iter() {
             let entry = &mut self.desc.writes[i as usize];
-            entry.slot.publish_payload(&mut entry.payload, wv, watermark, guard);
+            entry.slot.get().publish_payload(&mut entry.payload, wv, watermark, guard);
         }
         Ok((wv, log_seq))
     }
 
     fn release_acquired(&self, acquired: &[(u32, u64)]) {
         for &(i, prior) in acquired.iter().rev() {
-            self.desc.writes[i as usize].slot.unlock_restore(prior);
+            self.desc.writes[i as usize].slot.get().unlock_restore(prior);
         }
     }
 
@@ -934,9 +923,6 @@ impl<'s> Transaction<'s> {
 
 impl Drop for Transaction<'_> {
     fn drop(&mut self) {
-        // Unpin before recycling (clearing the descriptor can defer
-        // nothing, but keep the pin's lifetime tight regardless).
-        self.guard = None;
         // Stop protecting this attempt's read bound; a retry registers
         // its fresh bound in `begin`.
         if let Some(slot) = self.snap_slot.take() {
@@ -947,6 +933,9 @@ impl Drop for Transaction<'_> {
         let mut desc = unsafe { ManuallyDrop::take(&mut self.desc) };
         desc.clear();
         stash_descriptor(desc);
+        // Unpin only now: the read and write sets pointed at location
+        // cores uncounted until the clear above.
+        self.guard = None;
         // `era` (if any) drops after this body, closing the irrevocable
         // era even on panic unwind.
     }
@@ -977,6 +966,10 @@ mod tests {
     use super::*;
     use crate::cm::Suicide;
 
+    fn read(tx: &mut Transaction<'_>, core: &VarCore<i64>) -> TxResult<i64> {
+        Ok(*tx.read_ref(core)?.get())
+    }
+
     /// A snapshot transaction whose arbiter aborts on the *first*
     /// conflict round: any `arbitrate_lock` call inside a read surfaces
     /// as `Err(Abort::Locked)`, so these tests distinguish "waited" from
@@ -996,7 +989,7 @@ mod tests {
     #[test]
     fn snapshot_read_of_future_committer_lock_is_wait_free() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, stm.id()));
+        let core = VarCore::new(7i64, stm.id());
         // Commit version 1, then advance the clock so a snapshot begun
         // now reads at rv = 2.
         core.try_lock(1).unwrap();
@@ -1007,8 +1000,8 @@ mod tests {
         // An in-flight committer holds the lock and has announced a
         // write version above the snapshot's bound.
         core.try_lock(99).unwrap();
-        TxSlot::publish_wv(&*core, 3);
-        assert_eq!(tx.read_var(&core), Ok(7), "must read the pre-lock head without arbitrating");
+        TxSlot::publish_wv(&core, 3);
+        assert_eq!(read(&mut tx, &core), Ok(7), "must read the pre-lock head without arbitrating");
         core.unlock_restore(1);
     }
 
@@ -1018,14 +1011,14 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_in_the_sentinel_window() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, stm.id()));
+        let core = VarCore::new(7i64, stm.id());
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
         let mut tx = begin_suicide_snapshot(&stm);
         core.try_lock(99).unwrap();
         assert_eq!(
-            tx.read_var(&core),
+            read(&mut tx, &core),
             Err(Abort::Locked { addr: core.address(), owner: 99 }),
             "sentinel window must fall back to the arbitrated wait"
         );
@@ -1038,16 +1031,16 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_when_committer_is_inside_its_cut() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(7i64, stm.id()));
+        let core = VarCore::new(7i64, stm.id());
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
         let mut tx = begin_suicide_snapshot(&stm);
         assert_eq!(tx.read_version(), 2);
         core.try_lock(99).unwrap();
-        TxSlot::publish_wv(&*core, 2);
+        TxSlot::publish_wv(&core, 2);
         assert_eq!(
-            tx.read_var(&core),
+            read(&mut tx, &core),
             Err(Abort::Locked { addr: core.address(), owner: 99 }),
             "an announced wv <= rv belongs in the cut and must be waited for"
         );
@@ -1059,7 +1052,7 @@ mod tests {
     #[test]
     fn chain_miss_classification_tracks_registration() {
         let stm = Stm::new();
-        let core = Arc::new(VarCore::new(0i64, stm.id()));
+        let core = VarCore::new(0i64, stm.id());
         // Three commits with no snapshot live: only the head survives,
         // so a bound below it misses.
         for _ in 0..3 {
@@ -1070,7 +1063,7 @@ mod tests {
         assert!(registered.snap_slot.is_some());
         registered.rv = 1; // force a bound below the retained head
         assert_eq!(
-            registered.read_var(&core),
+            read(&mut registered, &core),
             Err(Abort::SnapshotUnavailable { addr: core.address() })
         );
         let mut unregistered = begin_suicide_snapshot(&stm);
@@ -1080,7 +1073,7 @@ mod tests {
         }
         unregistered.rv = 1;
         assert_eq!(
-            unregistered.read_var(&core),
+            read(&mut unregistered, &core),
             Err(Abort::SnapshotCapacity { addr: core.address() })
         );
     }

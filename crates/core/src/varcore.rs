@@ -20,7 +20,7 @@
 //! 3. ABA-free unlocking: versions strictly increase.
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::tvar::TxValue;
 use crate::txdesc::WritePayload;
@@ -49,15 +49,6 @@ pub(crate) struct SlotProbe {
     pub version: u64,
 }
 
-/// Outcome of an optimistic committed read.
-pub(crate) enum CommittedRead<T> {
-    /// Value and the version it was committed at.
-    Value(T, u64),
-    /// The location is currently locked by the transaction with the given
-    /// birth timestamp.
-    Locked(u64),
-}
-
 /// The shared core behind a [`crate::TVar`].
 pub(crate) struct VarCore<T> {
     lockword: AtomicU64,
@@ -81,6 +72,10 @@ pub(crate) struct VarCore<T> {
     /// untagged vars. Mixing vars across STM instances breaks version
     /// ordering; the tag lets us catch it in debug builds.
     pub(crate) stm_id: u64,
+    /// Live [`crate::TVar`] handles. The last one to drop hands the core
+    /// to the epoch reclaimer instead of freeing it (tvar.rs), so a read
+    /// set may point at a core for as long as its attempt stays pinned.
+    pub(crate) handles: AtomicUsize,
 }
 
 impl<T: TxValue> VarCore<T> {
@@ -92,6 +87,7 @@ impl<T: TxValue> VarCore<T> {
             pending_wv: AtomicU64::new(0),
             head: Atomic::from(node),
             stm_id,
+            handles: AtomicUsize::new(1),
         }
     }
 
@@ -113,16 +109,20 @@ impl<T: TxValue> VarCore<T> {
     }
 
     /// The committed head node under the TL2 `(lockword, head,
-    /// lockword)` double-check, or `None` while the location is locked.
-    /// The node was the head throughout the interval between the two
-    /// lock-word loads: versions strictly increase, so equal unlocked
-    /// words rule out any lock/publish cycle in between.
+    /// lockword)` double-check, or the lock owner's birth timestamp while
+    /// the location is locked. The node was the head throughout the
+    /// interval between the two lock-word loads: versions strictly
+    /// increase, so equal unlocked words rule out any lock/publish cycle
+    /// in between.
     #[inline]
-    fn committed_head<'g>(&'g self, guard: &'g Guard) -> Option<&'g VersionNode<T>> {
+    pub(crate) fn committed_head<'g>(
+        &'g self,
+        guard: &'g Guard,
+    ) -> Result<&'g VersionNode<T>, u64> {
         loop {
             let l1 = self.lockword.load(Ordering::Acquire);
             if l1 & LOCKED != 0 {
-                return None;
+                return Err(self.owner.load(Ordering::Relaxed));
             }
             let head = self.head.load(Ordering::Acquire, guard);
             if self.lockword.load(Ordering::Acquire) != l1 {
@@ -137,28 +137,16 @@ impl<T: TxValue> VarCore<T> {
             // `polytm-kv/tests/point_reads.rs::direct_gets_are_linearizable_beside_puts_deletes_and_doublings`.
             let node = unsafe { head.deref() };
             debug_assert_eq!(node.version, l1 >> 1, "head version must match lock word");
-            return Some(node);
+            return Ok(node);
         }
     }
 
-    /// Optimistic read of the latest committed value: the TL2
-    /// `(lockword, value, lockword)` double-check. Returns the value and
-    /// the version it was committed at, or the owner of the lock if the
-    /// location is being committed to right now.
-    #[inline]
-    pub(crate) fn read_committed(&self, guard: &Guard) -> CommittedRead<T> {
-        match self.committed_head(guard) {
-            Some(node) => CommittedRead::Value(node.value.clone(), node.version),
-            None => CommittedRead::Locked(self.owner.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// The latest committed value by reference, under the same
-    /// double-check as [`VarCore::read_committed`] but with no clone;
-    /// `None` while the location is locked.
+    /// The latest committed value by reference, under the double-check
+    /// of [`VarCore::committed_head`]; `None` while the location is
+    /// locked.
     #[inline]
     pub(crate) fn peek_committed<'g>(&'g self, guard: &'g Guard) -> Option<&'g T> {
-        self.committed_head(guard).map(|node| &node.value)
+        self.committed_head(guard).ok().map(|node| &node.value)
     }
 
     /// The newest committed value, by reference, for as long as `guard`
@@ -168,8 +156,7 @@ impl<T: TxValue> VarCore<T> {
     /// some commit published), no clone, no version. Hint-grade: the
     /// caller learns neither when the value was current nor whether it
     /// still is. The borrow of `self` is part of the result's lifetime
-    /// because dropping the location frees its chain without waiting
-    /// for pins.
+    /// because dropping the location frees its whole chain at once.
     pub(crate) fn peek<'g>(&'g self, guard: &'g Guard) -> &'g T {
         let head = self.head.load(Ordering::Acquire, guard);
         // SAFETY: as in `committed_head` — `head` was read under
@@ -179,17 +166,21 @@ impl<T: TxValue> VarCore<T> {
         &unsafe { head.deref() }.value
     }
 
-    /// Multi-version read: newest committed version with
+    /// Multi-version read: the newest committed version with
     /// `version <= bound`, walking the history chain. Returns `None` when
     /// the history has been truncated past `bound`.
-    pub(crate) fn read_snapshot(&self, bound: u64, guard: &Guard) -> Option<(T, u64)> {
+    pub(crate) fn snapshot_node<'g>(
+        &'g self,
+        bound: u64,
+        guard: &'g Guard,
+    ) -> Option<&'g VersionNode<T>> {
         let mut cur = self.head.load(Ordering::Acquire, guard);
         while !cur.is_null() {
             // SAFETY: chain nodes are epoch-protected (see above).
             // Exercised under ASan by `tests::snapshot_walks_history`.
             let node = unsafe { cur.deref() };
             if node.version <= bound {
-                return Some((node.value.clone(), node.version));
+                return Some(node);
             }
             cur = node.prev.load(Ordering::Acquire, guard);
         }
@@ -277,8 +268,10 @@ impl<T: TxValue> VarCore<T> {
 
 impl<T> Drop for VarCore<T> {
     fn drop(&mut self) {
-        // SAFETY: we have exclusive access (`&mut self` through drop), so
-        // no concurrent readers exist and the chain can be freed eagerly.
+        // SAFETY: we have exclusive access (`&mut self` through drop): a
+        // core is dropped only by the epoch reclaimer, after the last
+        // handle and every pin that could reach it are gone (tvar.rs),
+        // so the chain can be freed eagerly.
         // Exercised under ASan by `tests::snapshot_walks_history`, which
         // drops a four-node chain.
         unsafe {
@@ -397,12 +390,14 @@ mod tests {
     use super::*;
     use crossbeam_epoch as epoch;
 
+    fn snap(core: &VarCore<i64>, bound: u64, guard: &Guard) -> Option<(i64, u64)> {
+        core.snapshot_node(bound, guard).map(|node| (node.value, node.version))
+    }
+
     fn value_of(core: &VarCore<i64>) -> (i64, u64) {
         let guard = epoch::pin();
-        match core.read_committed(&guard) {
-            CommittedRead::Value(v, ver) => (v, ver),
-            CommittedRead::Locked(_) => panic!("unexpected lock"),
-        }
+        let node = core.committed_head(&guard).expect("unexpected lock");
+        (node.value, node.version)
     }
 
     #[test]
@@ -421,10 +416,7 @@ mod tests {
         assert!(p.locked);
         assert_eq!(p.owner, 7);
         let guard = epoch::pin();
-        match core.read_committed(&guard) {
-            CommittedRead::Locked(owner) => assert_eq!(owner, 7),
-            CommittedRead::Value(..) => panic!("must observe the lock"),
-        }
+        assert_eq!(core.committed_head(&guard).err(), Some(7), "must observe the lock");
         drop(guard);
         core.publish(2, 5);
         assert_eq!(value_of(&core), (2, 5));
@@ -472,11 +464,11 @@ mod tests {
             core.try_lock(1).unwrap();
             core.publish_with(v, ver, 0, &guard);
         }
-        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((3, 30)));
-        assert_eq!(core.read_snapshot(29, &guard), Some((2, 20)));
-        assert_eq!(core.read_snapshot(20, &guard), Some((2, 20)));
-        assert_eq!(core.read_snapshot(15, &guard), Some((1, 10)));
-        assert_eq!(core.read_snapshot(9, &guard), Some((0, 0)));
+        assert_eq!(snap(&core, u64::MAX, &guard), Some((3, 30)));
+        assert_eq!(snap(&core, 29, &guard), Some((2, 20)));
+        assert_eq!(snap(&core, 20, &guard), Some((2, 20)));
+        assert_eq!(snap(&core, 15, &guard), Some((1, 10)));
+        assert_eq!(snap(&core, 9, &guard), Some((0, 0)));
     }
 
     #[test]
@@ -491,12 +483,12 @@ mod tests {
             core.try_lock(1).unwrap();
             core.publish_with(i as i64, i * 10, (i * 10).saturating_sub(25), &guard);
         }
-        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((10, 100)));
-        assert_eq!(core.read_snapshot(95, &guard), Some((9, 90)));
-        assert_eq!(core.read_snapshot(85, &guard), Some((8, 80)));
-        assert_eq!(core.read_snapshot(75, &guard), Some((7, 70)), "what bound 75 resolves to");
+        assert_eq!(snap(&core, u64::MAX, &guard), Some((10, 100)));
+        assert_eq!(snap(&core, 95, &guard), Some((9, 90)));
+        assert_eq!(snap(&core, 85, &guard), Some((8, 80)));
+        assert_eq!(snap(&core, 75, &guard), Some((7, 70)), "what bound 75 resolves to");
         // anything older is gone
-        assert_eq!(core.read_snapshot(69, &guard), None);
+        assert_eq!(snap(&core, 69, &guard), None);
     }
 
     #[test]
@@ -508,8 +500,8 @@ mod tests {
         core.try_lock(1).unwrap();
         core.publish(2, 20);
         let guard = epoch::pin();
-        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((2, 20)));
-        assert_eq!(core.read_snapshot(19, &guard), None);
+        assert_eq!(snap(&core, u64::MAX, &guard), Some((2, 20)));
+        assert_eq!(snap(&core, 19, &guard), None);
     }
 
     #[test]
@@ -520,13 +512,8 @@ mod tests {
         let guard = epoch::pin();
         TxSlot::publish_payload(&core, &mut payload, 3, u64::MAX, &guard);
         assert!(payload.is_empty(), "payload moved out at publish");
-        match core.read_committed(&guard) {
-            CommittedRead::Value(v, ver) => {
-                assert_eq!(v, "b");
-                assert_eq!(ver, 3);
-            }
-            CommittedRead::Locked(_) => panic!(),
-        }
+        let node = core.committed_head(&guard).expect("unlocked");
+        assert_eq!((node.value.as_str(), node.version), ("b", 3));
     }
 
     #[test]
@@ -566,14 +553,14 @@ mod tests {
             core.try_lock(1).unwrap();
             core.publish_with(i as i64, i * 10, 15, &guard);
         }
-        assert_eq!(core.read_snapshot(15, &guard), Some((1, 10)));
+        assert_eq!(snap(&core, 15, &guard), Some((1, 10)));
         // Everything newer than the watermark cut is retained too: a
         // bound registered later may resolve to any of it.
         for i in 2..=10u64 {
-            assert_eq!(core.read_snapshot(i * 10, &guard), Some((i as i64, i * 10)));
+            assert_eq!(snap(&core, i * 10, &guard), Some((i as i64, i * 10)));
         }
         // ...but nothing older than the watermark cut survives.
-        assert_eq!(core.read_snapshot(9, &guard), None);
+        assert_eq!(snap(&core, 9, &guard), None);
     }
 
     #[test]
@@ -585,8 +572,8 @@ mod tests {
             // Watermark ahead of every version: nothing old is live.
             core.publish_with(i as i64, i * 10, 1_000, &guard);
         }
-        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((10, 100)));
-        assert_eq!(core.read_snapshot(99, &guard), None);
+        assert_eq!(snap(&core, u64::MAX, &guard), Some((10, 100)));
+        assert_eq!(snap(&core, 99, &guard), None);
     }
 
     #[test]
@@ -597,12 +584,12 @@ mod tests {
             core.try_lock(1).unwrap();
             core.publish_with(i as i64, i * 10, 0, &guard);
         }
-        assert_eq!(core.read_snapshot(0, &guard), Some((0, 0)), "pinned by the live bound");
+        assert_eq!(snap(&core, 0, &guard), Some((0, 0)), "pinned by the live bound");
         // The bound is released: one more publish keeps the head only.
         core.try_lock(1).unwrap();
         core.publish_with(6, 60, 60, &guard);
-        assert_eq!(core.read_snapshot(u64::MAX, &guard), Some((6, 60)));
-        assert_eq!(core.read_snapshot(59, &guard), None);
+        assert_eq!(snap(&core, u64::MAX, &guard), Some((6, 60)));
+        assert_eq!(snap(&core, 59, &guard), None);
     }
 
     #[test]
@@ -617,8 +604,8 @@ mod tests {
             core.publish_with(i as i64, i * 10, 0, &guard);
         }
         for i in 1..=6u64 {
-            assert_eq!(core.read_snapshot(i * 10, &guard), Some((i as i64, i * 10)));
+            assert_eq!(snap(&core, i * 10, &guard), Some((i as i64, i * 10)));
         }
-        assert_eq!(core.read_snapshot(0, &guard), Some((0, 0)));
+        assert_eq!(snap(&core, 0, &guard), Some((0, 0)));
     }
 }

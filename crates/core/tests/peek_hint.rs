@@ -94,7 +94,8 @@ fn quiesce(settled: impl Fn() -> bool) {
 /// A peeked reference stays valid, and its node undropped, across every
 /// commit that supersedes it while the guard is pinned; once the guard
 /// is gone each superseded version is dropped exactly once, and the
-/// head goes with the variable.
+/// head goes with the variable — through the reclaimer as well, since an
+/// attempt that read the variable may still be pinned when it drops.
 #[test]
 fn a_peeked_version_outlives_the_commits_that_supersede_it() {
     let commits = scaled(64);
@@ -122,7 +123,7 @@ fn a_peeked_version_outlives_the_commits_that_supersede_it() {
     quiesce(|| ledger.dropped_count() == commits as usize);
     assert!(!ledger.dropped(commits), "the head is still the variable's");
     drop(var);
-    assert!(ledger.dropped(commits), "the head leaked");
+    quiesce(|| ledger.dropped(commits));
 }
 
 /// Beside a committer, with a snapshot parked across the first half of
@@ -196,5 +197,5 @@ fn peek_returns_only_published_values_beside_a_committer_and_a_parked_snapshot()
     assert_eq!(stm.stats().commits, 2 * half + 1, "a peek is not a transaction");
     quiesce(|| ledger.dropped_count() == 2 * half as usize);
     drop(var);
-    assert_eq!(ledger.dropped_count(), 2 * half as usize + 1, "a version leaked");
+    quiesce(|| ledger.dropped_count() == 2 * half as usize + 1);
 }

@@ -114,8 +114,13 @@ fn buffered_values_drop_exactly_once() {
     // few more transactions, then drop everything.
     drop(x);
     drop(stm);
-    // Deferred epoch destruction may lag; force quiescent collections.
-    for _ in 0..100 {
+    // Deferred epoch destruction may lag: the values wait for every pin
+    // taken before they were unlinked, and a transaction holds its pin
+    // for the whole attempt — including the other tests' long elastic
+    // traversals in this binary. Keep collecting until those are over,
+    // bounded by a count: a value that is never freed fails, it does
+    // not hang.
+    for _ in 0..1_000_000 {
         if LIVE.load(Ordering::SeqCst) == 0 {
             break;
         }

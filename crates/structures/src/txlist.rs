@@ -7,10 +7,14 @@
 //! [`Semantics::Opaque`] (a monomorphic TM) the same traversal aborts
 //! whenever any visited node is overwritten — experiment E4/E5 measures
 //! exactly that gap.
+//!
+//! Traversals read links by reference ([`TVar::read_in`]), so a hop
+//! clones no `Arc` and writes nothing other traversals share; only the
+//! links an update writes are owned clones.
 
 use std::sync::Arc;
 
-use polytm::{Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use polytm::{PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
 
 /// A link: `None` is the end of the list.
 type Link = Option<Arc<Node>>;
@@ -121,63 +125,75 @@ impl TxList {
         }
     }
 
-    /// Transaction-composable membership test.
-    pub fn contains_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        let mut link = self.head.read(tx)?;
+    /// Walks to the first node whose key is at least `key`, by reference
+    /// under `guard`: returns the link in front of it (the head or the
+    /// predecessor's `next`) and that link's value.
+    fn seek<'g>(
+        &'g self,
+        tx: &mut Transaction<'_>,
+        key: i64,
+        guard: &'g PeekGuard,
+    ) -> TxResult<(&'g TVar<Link>, &'g Link)> {
+        let mut prev = &self.head;
+        let mut link = self.head.read_in(tx, guard)?;
         while let Some(node) = link {
             if node.key >= key {
-                return Ok(node.key == key);
+                break;
             }
-            link = node.next.read(tx)?;
+            prev = &node.next;
+            link = node.next.read_in(tx, guard)?;
         }
-        Ok(false)
+        Ok((prev, link))
+    }
+
+    /// Visits every key in order, by reference, until `visit` returns
+    /// false.
+    fn for_each_key(
+        &self,
+        tx: &mut Transaction<'_>,
+        mut visit: impl FnMut(i64) -> bool,
+    ) -> TxResult<()> {
+        let guard = PeekGuard::pin();
+        let mut link = self.head.read_in(tx, &guard)?;
+        while let Some(node) = link {
+            if !visit(node.key) {
+                break;
+            }
+            link = node.next.read_in(tx, &guard)?;
+        }
+        Ok(())
+    }
+
+    /// Transaction-composable membership test.
+    pub fn contains_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
+        let guard = PeekGuard::pin();
+        let (_, link) = self.seek(tx, key, &guard)?;
+        Ok(matches!(link, Some(node) if node.key == key))
     }
 
     /// Transaction-composable insert; `false` if present.
     pub fn insert_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        // Walk to the insertion point, remembering the incoming link.
-        let mut pred: Option<Arc<Node>> = None;
-        let mut link = self.head.read(tx)?;
-        loop {
-            match link {
-                Some(ref node) if node.key < key => {
-                    let next = node.next.read(tx)?;
-                    pred = Some(Arc::clone(node));
-                    link = next;
-                }
-                Some(ref node) if node.key == key => return Ok(false),
-                _ => break,
-            }
+        let guard = PeekGuard::pin();
+        let (prev, link) = self.seek(tx, key, &guard)?;
+        if matches!(link, Some(node) if node.key == key) {
+            return Ok(false);
         }
-        let new_node = Arc::new(Node { key, next: self.stm.new_tvar(link) });
-        match pred {
-            Some(p) => p.next.write(tx, Some(new_node))?,
-            None => self.head.write(tx, Some(new_node))?,
-        }
+        let new_node = Arc::new(Node { key, next: self.stm.new_tvar(link.clone()) });
+        prev.write(tx, Some(new_node))?;
         Ok(true)
     }
 
     /// Transaction-composable remove; `false` if absent.
     pub fn remove_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        let mut pred: Option<Arc<Node>> = None;
-        let mut link = self.head.read(tx)?;
-        loop {
-            match link {
-                Some(ref node) if node.key < key => {
-                    let next = node.next.read(tx)?;
-                    pred = Some(Arc::clone(node));
-                    link = next;
-                }
-                Some(ref node) if node.key == key => {
-                    let after = node.next.read(tx)?;
-                    match pred {
-                        Some(p) => p.next.write(tx, after)?,
-                        None => self.head.write(tx, after)?,
-                    }
-                    return Ok(true);
-                }
-                _ => return Ok(false),
+        let guard = PeekGuard::pin();
+        let (prev, link) = self.seek(tx, key, &guard)?;
+        match link {
+            Some(node) if node.key == key => {
+                let after = node.next.read(tx)?;
+                prev.write(tx, after)?;
+                Ok(true)
             }
+            _ => Ok(false),
         }
     }
 
@@ -204,11 +220,10 @@ impl TxList {
     pub fn len(&self) -> usize {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
             let mut n = 0usize;
-            let mut link = self.head.read(tx)?;
-            while let Some(node) = link {
+            self.for_each_key(tx, |_| {
                 n += 1;
-                link = node.next.read(tx)?;
-            }
+                true
+            })?;
             Ok(n)
         })
     }
@@ -223,11 +238,10 @@ impl TxList {
     pub fn sum_snapshot(&self) -> i64 {
         self.stm.run(TxParams::new(Semantics::Snapshot), |tx| {
             let mut sum = 0i64;
-            let mut link = self.head.read(tx)?;
-            while let Some(node) = link {
-                sum += node.key;
-                link = node.next.read(tx)?;
-            }
+            self.for_each_key(tx, |key| {
+                sum += key;
+                true
+            })?;
             Ok(sum)
         })
     }
@@ -242,16 +256,10 @@ impl TxList {
     pub fn range_count_snapshot(&self, lo: i64, hi: i64) -> usize {
         self.stm.run(self.scan_params, |tx| {
             let mut n = 0usize;
-            let mut link = self.head.read(tx)?;
-            while let Some(node) = link {
-                if node.key >= hi {
-                    break;
-                }
-                if node.key >= lo {
-                    n += 1;
-                }
-                link = node.next.read(tx)?;
-            }
+            self.for_each_key(tx, |key| {
+                n += usize::from(lo <= key && key < hi);
+                key < hi
+            })?;
             Ok(n)
         })
     }
@@ -260,11 +268,10 @@ impl TxList {
     pub fn to_vec(&self) -> Vec<i64> {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
             let mut out = Vec::new();
-            let mut link = self.head.read(tx)?;
-            while let Some(node) = link {
-                out.push(node.key);
-                link = node.next.read(tx)?;
-            }
+            self.for_each_key(tx, |key| {
+                out.push(key);
+                true
+            })?;
             Ok(out)
         })
     }

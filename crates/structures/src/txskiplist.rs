@@ -6,10 +6,14 @@
 //! keeping the structure deterministic for reproducible benchmarks.
 //! Like [`crate::txlist::TxList`], single-key operations default to the
 //! paper's `weak` (elastic) semantics; aggregates run opaque/snapshot.
+//!
+//! Every descent reads links by reference ([`TVar::read_in`]): a hop
+//! clones no `Arc` and so writes nothing the other threads' descents
+//! share. Only the links an update writes are owned clones.
 
 use std::sync::Arc;
 
-use polytm::{Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use polytm::{PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
 
 const MAX_LEVEL: usize = 16;
 
@@ -59,39 +63,78 @@ impl TxSkipList {
         &self.stm
     }
 
-    /// Walk the tower structure; returns per-level predecessors (`None` =
-    /// the head tower) and the candidate node at level 0.
-    #[allow(clippy::type_complexity)]
-    fn find_preds(
-        &self,
+    /// The tower descent, by reference under `guard`: at each level,
+    /// follows links while they lead to keys below `key`, hands
+    /// `at_level` the tower it stopped in (the head's or a node's), and
+    /// returns the level-0 link that stopped it — the candidate.
+    fn descend<'g>(
+        &'g self,
         tx: &mut Transaction<'_>,
         key: i64,
-    ) -> TxResult<(Vec<Option<Arc<Node>>>, Link)> {
-        let mut preds: Vec<Option<Arc<Node>>> = vec![None; MAX_LEVEL];
-        let mut pred: Option<Arc<Node>> = None;
+        guard: &'g PeekGuard,
+        mut at_level: impl FnMut(usize, &'g [TVar<Link>]),
+    ) -> TxResult<&'g Link> {
+        let mut tower: &'g [TVar<Link>] = &self.head;
+        let mut link: &'g Link = &None;
         for level in (0..MAX_LEVEL).rev() {
             loop {
-                let link = match &pred {
-                    Some(p) => p.next[level].read(tx)?,
-                    None => self.head[level].read(tx)?,
-                };
+                link = tower[level].read_in(tx, guard)?;
                 match link {
-                    Some(ref n) if n.key < key => pred = Some(Arc::clone(n)),
+                    Some(node) if node.key < key => tower = &node.next,
                     _ => break,
                 }
             }
-            preds[level] = pred.clone();
+            at_level(level, tower);
         }
-        let candidate = match &pred {
-            Some(p) => p.next[0].read(tx)?,
-            None => self.head[0].read(tx)?,
-        };
+        Ok(link)
+    }
+
+    /// The descent for an update: the candidate, plus each level's
+    /// predecessor tower, whose link at that level the update writes.
+    #[allow(clippy::type_complexity)]
+    fn find_preds<'g>(
+        &'g self,
+        tx: &mut Transaction<'_>,
+        key: i64,
+        guard: &'g PeekGuard,
+    ) -> TxResult<([&'g [TVar<Link>]; MAX_LEVEL], &'g Link)> {
+        let mut preds: [&'g [TVar<Link>]; MAX_LEVEL] = [&self.head[..]; MAX_LEVEL];
+        let candidate = self.descend(tx, key, guard, |level, tower| preds[level] = tower)?;
         Ok((preds, candidate))
+    }
+
+    /// Visits the level-0 keys from `link` on, in order, by reference,
+    /// until `visit` returns false.
+    fn walk<'g>(
+        tx: &mut Transaction<'_>,
+        guard: &'g PeekGuard,
+        mut link: &'g Link,
+        mut visit: impl FnMut(i64) -> bool,
+    ) -> TxResult<()> {
+        while let Some(node) = link {
+            if !visit(node.key) {
+                break;
+            }
+            link = node.next[0].read_in(tx, guard)?;
+        }
+        Ok(())
+    }
+
+    /// Visits every key in order (see [`TxSkipList::walk`]).
+    fn for_each_key(
+        &self,
+        tx: &mut Transaction<'_>,
+        visit: impl FnMut(i64) -> bool,
+    ) -> TxResult<()> {
+        let guard = PeekGuard::pin();
+        let first = self.head[0].read_in(tx, &guard)?;
+        Self::walk(tx, &guard, first, visit)
     }
 
     /// Transaction-composable membership test.
     pub fn contains_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        let (_, candidate) = self.find_preds(tx, key)?;
+        let guard = PeekGuard::pin();
+        let candidate = self.descend(tx, key, &guard, |_, _| {})?;
         Ok(matches!(candidate, Some(n) if n.key == key))
     }
 
@@ -102,56 +145,41 @@ impl TxSkipList {
     /// window cuts predecessor-link reads this insert later writes
     /// against, which can lose a concurrent insert.
     pub fn insert_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        let (preds, candidate) = self.find_preds(tx, key)?;
-        if matches!(candidate, Some(ref n) if n.key == key) {
+        let guard = PeekGuard::pin();
+        let (preds, candidate) = self.find_preds(tx, key, &guard)?;
+        if matches!(candidate, Some(n) if n.key == key) {
             return Ok(false);
         }
         let h = height_of(key);
         let mut levels = Vec::with_capacity(h);
         #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
         for level in 0..h {
-            let succ = match &preds[level] {
-                Some(p) => p.next[level].read(tx)?,
-                None => self.head[level].read(tx)?,
-            };
+            let succ = preds[level][level].read(tx)?;
             levels.push(self.stm.new_tvar(succ));
         }
         let node = Arc::new(Node { key, next: levels });
         #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
         for level in 0..h {
-            match &preds[level] {
-                Some(p) => p.next[level].write(tx, Some(Arc::clone(&node)))?,
-                None => self.head[level].write(tx, Some(Arc::clone(&node)))?,
-            }
+            preds[level][level].write(tx, Some(Arc::clone(&node)))?;
         }
         Ok(true)
     }
 
     /// Transaction-composable remove; `false` if absent.
     pub fn remove_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
-        let (preds, candidate) = self.find_preds(tx, key)?;
+        let guard = PeekGuard::pin();
+        let (preds, candidate) = self.find_preds(tx, key, &guard)?;
         let node = match candidate {
             Some(n) if n.key == key => n,
             _ => return Ok(false),
         };
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..node.next.len() {
+        for (level, next) in node.next.iter().enumerate() {
             // The predecessor at this level may not point at `node` (its
-            // tower may be taller than where we found it); re-walk if so.
-            let succ = node.next[level].read(tx)?;
-            match &preds[level] {
-                Some(p) => {
-                    let cur = p.next[level].read(tx)?;
-                    if matches!(cur, Some(ref c) if Arc::ptr_eq(c, &node)) {
-                        p.next[level].write(tx, succ)?;
-                    }
-                }
-                None => {
-                    let cur = self.head[level].read(tx)?;
-                    if matches!(cur, Some(ref c) if Arc::ptr_eq(c, &node)) {
-                        self.head[level].write(tx, succ)?;
-                    }
-                }
+            // tower may be taller than where we found it); skip it if so.
+            let succ = next.read(tx)?;
+            let link = &preds[level][level];
+            if matches!(link.read_in(tx, &guard)?, Some(c) if Arc::ptr_eq(c, node)) {
+                link.write(tx, succ)?;
             }
         }
         Ok(true)
@@ -191,11 +219,10 @@ impl TxSkipList {
     pub fn len(&self) -> usize {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
             let mut n = 0;
-            let mut link = self.head[0].read(tx)?;
-            while let Some(node) = link {
+            self.for_each_key(tx, |_| {
                 n += 1;
-                link = node.next[0].read(tx)?;
-            }
+                true
+            })?;
             Ok(n)
         })
     }
@@ -210,15 +237,13 @@ impl TxSkipList {
     /// observing one consistent cut without ever aborting.
     pub fn range_count_snapshot(&self, lo: i64, hi: i64) -> usize {
         self.stm.snapshot(|tx| {
-            let (_, mut link) = self.find_preds(tx, lo)?;
+            let guard = PeekGuard::pin();
+            let first = self.descend(tx, lo, &guard, |_, _| {})?;
             let mut n = 0usize;
-            while let Some(node) = link {
-                if node.key >= hi {
-                    break;
-                }
-                n += 1;
-                link = node.next[0].read(tx)?;
-            }
+            Self::walk(tx, &guard, first, |key| {
+                n += usize::from(key < hi);
+                key < hi
+            })?;
             Ok(n)
         })
     }
@@ -227,11 +252,10 @@ impl TxSkipList {
     pub fn to_vec(&self) -> Vec<i64> {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
             let mut out = Vec::new();
-            let mut link = self.head[0].read(tx)?;
-            while let Some(node) = link {
-                out.push(node.key);
-                link = node.next[0].read(tx)?;
-            }
+            self.for_each_key(tx, |key| {
+                out.push(key);
+                true
+            })?;
             Ok(out)
         })
     }
