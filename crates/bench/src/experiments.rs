@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use polytm::{
     Backoff, ConflictArbiter, Greedy, NestingPolicy, Semantics, Stm, StmConfig, Suicide, TxParams,
 };
+use polytm_kv::{KvStore, Value};
 use polytm_schedule::{
     accepts, check_theorem1, check_theorem2, figure1_interleaving, figure1_lock_schedule,
     figure1_program, replay, Synchronization,
@@ -468,7 +469,9 @@ fn time_ops(profile: &Profile, mut op: impl FnMut()) -> f64 {
 
 /// Micro — single-thread transaction cost per semantics: the empty
 /// transaction's begin/commit floor, the per-read cost of a 32-read
-/// chain, a single-var read-modify-write and a 16-location write commit.
+/// chain, a single-var read-modify-write, a 16-location write commit,
+/// and a `KvStore` snapshot scan of 1 024 of 4 096 keys (the key-by-key
+/// path) beside a full `len()` (the walk of every register).
 pub fn micro_single_thread(profile: &Profile) -> String {
     let mut t = Table::new(
         "micro: single-thread transaction cost",
@@ -524,6 +527,20 @@ pub fn micro_single_thread(profile: &Profile) -> String {
         });
     });
     row("16-var write", "opaque", rate);
+    let store = KvStore::new(Arc::new(Stm::new()));
+    let records: Vec<(u64, Value)> = (0..1 << 12).map(|k| (k, Value::from_u64(k))).collect();
+    store.multi_put(&records);
+    let registers = store.capacity();
+    let mut lo = 0;
+    let rate = time_ops(profile, || {
+        lo = (lo + 1024) % (1 << 12);
+        std::hint::black_box(store.scan_range(lo, lo + 1024));
+    });
+    row(&format!("kv scan 1024 of 4096 keys, {registers} registers"), "snapshot", rate);
+    let rate = time_ops(profile, || {
+        std::hint::black_box(store.len());
+    });
+    row(&format!("kv len 4096 keys, {registers} registers"), "snapshot", rate);
     t.render()
 }
 

@@ -51,6 +51,26 @@
 //!   requested discipline.
 //! * scans run **snapshot** (requested): one consistent cut across
 //!   every shard, never aborting on read-write conflicts.
+//!
+//! Every read inside a transaction borrows its register's value
+//! ([`TVar::read_in`] under one [`PeekGuard`] per operation) instead of
+//! cloning it, so no table or bucket read writes a reference count;
+//! only a doubling reads its buckets by value, because `split` shares
+//! the arrays by handle.
+//!
+//! ## Scans
+//!
+//! A scan first reads every shard's table and counts their registers.
+//! A span holding fewer keys than that is looked up **key by key**, in
+//! key order: each key costs one bucket read. Any wider span **walks
+//! every register** and filters. The choice needs no tuned constant —
+//! a lookup reads one register and the walk reads them all, so the
+//! lookups are the cheaper path exactly when the span is narrower than
+//! the register count. Either path reads only registers reached
+//! through the same table reads at the same read version (the lookups
+//! read a subset of the walk's), so the snapshot argument is the
+//! walk's, a table doubled mid-scan included: the scan reads the
+//! tables and buckets its cut saw, never the doubled ones.
 
 use std::sync::Arc;
 
@@ -288,9 +308,10 @@ impl KvStore {
     /// diagnostic).
     pub fn capacity(&self) -> usize {
         self.stm.run(self.params.scan, |tx| {
+            let guard = PeekGuard::pin();
             let mut total = 0;
             for shard in self.shards.iter() {
-                total += shard.read(tx)?.buckets.len();
+                total += shard.read_in(tx, &guard)?.buckets.len();
             }
             Ok(total)
         })
@@ -310,18 +331,24 @@ impl KvStore {
     // Transaction-composable operations
     // ------------------------------------------------------------------
 
-    /// The shard table `key` lives in and the index of its bucket there.
-    fn locate(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<(Table, usize)> {
-        let table = self.shards[self.shard_of(key)].read(tx)?;
-        let at = table.index_of(key);
-        Ok((table, at))
+    /// The shard table `key` lives in, read by reference under `guard`,
+    /// and the index of its bucket there.
+    fn locate<'g>(
+        &'g self,
+        tx: &mut Transaction<'_>,
+        key: u64,
+        guard: &'g PeekGuard,
+    ) -> TxResult<(&'g Table, usize)> {
+        let table = self.shards[self.shard_of(key)].read_in(tx, guard)?;
+        Ok((table, table.index_of(key)))
     }
 
     /// Composable point lookup.
     pub fn get_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<Value>> {
-        let (table, at) = self.locate(tx, key)?;
-        let bucket = table.buckets[at].read(tx)?;
-        Ok(find(entries(&bucket), key).cloned())
+        let guard = PeekGuard::pin();
+        let (table, at) = self.locate(tx, key, &guard)?;
+        let bucket = table.buckets[at].read_in(tx, &guard)?;
+        Ok(find(entries(bucket), key).cloned())
     }
 
     /// Composable membership test.
@@ -333,9 +360,9 @@ impl KvStore {
     /// doubling must be its own transaction); reports a long bucket
     /// instead.
     fn put_raw(&self, tx: &mut Transaction<'_>, key: u64, value: Value) -> TxResult<PutRaw> {
-        let (table, at) = self.locate(tx, key)?;
-        let old = table.buckets[at].read(tx)?;
-        let old = entries(&old);
+        let guard = PeekGuard::pin();
+        let (table, at) = self.locate(tx, key, &guard)?;
+        let old = entries(table.buckets[at].read_in(tx, &guard)?);
         // Either way the new array is one allocation, filled in place.
         let (prev, new): (_, Arc<[(u64, Value)]>) = match old.iter().position(|(k, _)| *k == key) {
             Some(hit) => {
@@ -365,9 +392,9 @@ impl KvStore {
     /// Composable delete; returns the removed value. Deleting a
     /// bucket's last record leaves the register empty (`None`).
     pub fn delete_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<Value>> {
-        let (table, at) = self.locate(tx, key)?;
-        let old = table.buckets[at].read(tx)?;
-        let old = entries(&old);
+        let guard = PeekGuard::pin();
+        let (table, at) = self.locate(tx, key, &guard)?;
+        let old = entries(table.buckets[at].read_in(tx, &guard)?);
         let Some(hit) = old.iter().position(|(k, _)| *k == key) else {
             return Ok(None);
         };
@@ -379,8 +406,10 @@ impl KvStore {
     }
 
     /// Visit every record in the *inclusive* span `[lo, hi_incl]` — the
-    /// internal span form, so `u64::MAX` keys are reachable — in table
-    /// order.
+    /// internal span form, so `u64::MAX` keys are reachable. A span of
+    /// fewer keys than the tables have registers is looked up key by
+    /// key, in key order; any other walks every register, in table
+    /// order (module docs, "Scans").
     fn for_each_in_span(
         &self,
         tx: &mut Transaction<'_>,
@@ -388,11 +417,27 @@ impl KvStore {
         hi_incl: u64,
         mut visit: impl FnMut(u64, &Value),
     ) -> TxResult<()> {
+        let guard = PeekGuard::pin();
+        let mut tables = Vec::with_capacity(self.shards.len());
+        let mut registers = 0;
         for shard in self.shards.iter() {
-            let table = shard.read(tx)?;
+            let table = shard.read_in(tx, &guard)?;
+            registers += table.buckets.len();
+            tables.push(table);
+        }
+        if hi_incl - lo < registers as u64 {
+            for key in lo..=hi_incl {
+                let table = tables[self.shard_of(key)];
+                let bucket = table.buckets[table.index_of(key)].read_in(tx, &guard)?;
+                if let Some(value) = find(entries(bucket), key) {
+                    visit(key, value);
+                }
+            }
+            return Ok(());
+        }
+        for table in tables {
             for register in table.buckets.iter() {
-                let bucket = register.read(tx)?;
-                for (k, v) in entries(&bucket) {
+                for (k, v) in entries(register.read_in(tx, &guard)?) {
                     if lo <= *k && *k <= hi_incl {
                         visit(*k, v);
                     }
@@ -410,7 +455,8 @@ impl KvStore {
     }
 
     /// Composable scan over the *inclusive* span `[lo, hi_incl]`,
-    /// sorted by key.
+    /// sorted by key (the key-by-key path visits in key order already,
+    /// and sorting sorted input is linear).
     fn collect_span_in(
         &self,
         tx: &mut Transaction<'_>,
@@ -726,7 +772,8 @@ impl KvStore {
     /// concurrent write to the shard; the loser re-runs.
     fn resize_shard(&self, si: usize, observed_len: usize) {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let table = self.shards[si].read(tx)?;
+            let guard = PeekGuard::pin();
+            let table = self.shards[si].read_in(tx, &guard)?;
             let len = table.buckets.len();
             if len != observed_len {
                 return Ok(()); // already swapped: the pressure event was handled
@@ -734,6 +781,7 @@ impl KvStore {
             let mut halves: Vec<Bucket> = vec![None; len * 2];
             let mut records = 0usize;
             for (i, register) in table.buckets.iter().enumerate() {
+                // By value: `split` shares the array by handle.
                 let bucket = register.read(tx)?;
                 records += entries(&bucket).len();
                 let (low, high) = split(bucket, len);

@@ -7,10 +7,14 @@
 //! itself is one monomorphic (`def`) transaction that atomically swaps
 //! the whole directory — the operation that a fixed-bucket lock-free
 //! table such as Michael's (SPAA 2002) cannot express.
+//!
+//! Every read borrows the directory or bucket it reads
+//! ([`TVar::read_in`]) instead of cloning it; `insert` and `remove`
+//! clone only the bucket they write.
 
 use std::sync::Arc;
 
-use polytm::{Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use polytm::{PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
 
 type Bucket = Vec<u64>;
 type Directory = Arc<Vec<TVar<Bucket>>>;
@@ -132,20 +136,33 @@ impl TxHashSet {
 
     /// Transaction-composable membership test.
     pub fn contains_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<bool> {
-        let dir = self.dir.read(tx)?;
-        let bucket = dir[bucket_index(key, dir.len())].read(tx)?;
+        let guard = PeekGuard::pin();
+        let bucket = self.slot(tx, key, &guard)?.read_in(tx, &guard)?;
         Ok(bucket.contains(&key))
+    }
+
+    /// The bucket register `key` hashes to, read by reference through
+    /// the directory under `guard`.
+    fn slot<'g>(
+        &'g self,
+        tx: &mut Transaction<'_>,
+        key: u64,
+        guard: &'g PeekGuard,
+    ) -> TxResult<&'g TVar<Bucket>> {
+        let dir = self.dir.read_in(tx, guard)?;
+        Ok(&dir[bucket_index(key, dir.len())])
     }
 
     /// Transaction-composable insert; `Ok(Some(overflow))` reports
     /// whether the touched bucket now exceeds the load factor.
     fn insert_raw(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<Option<bool>> {
-        let dir = self.dir.read(tx)?;
-        let slot = &dir[bucket_index(key, dir.len())];
-        let mut bucket = slot.read(tx)?;
-        if bucket.contains(&key) {
+        let guard = PeekGuard::pin();
+        let slot = self.slot(tx, key, &guard)?;
+        let old = slot.read_in(tx, &guard)?;
+        if old.contains(&key) {
             return Ok(None);
         }
+        let mut bucket = old.clone();
         bucket.push(key);
         let overflow = bucket.len() > self.max_load;
         slot.write(tx, bucket)?;
@@ -162,11 +179,12 @@ impl TxHashSet {
 
     /// Transaction-composable remove; `false` if absent.
     pub fn remove_in(&self, tx: &mut Transaction<'_>, key: u64) -> TxResult<bool> {
-        let dir = self.dir.read(tx)?;
-        let slot = &dir[bucket_index(key, dir.len())];
-        let mut bucket = slot.read(tx)?;
-        match bucket.iter().position(|&k| k == key) {
+        let guard = PeekGuard::pin();
+        let slot = self.slot(tx, key, &guard)?;
+        let old = slot.read_in(tx, &guard)?;
+        match old.iter().position(|&k| k == key) {
             Some(i) => {
+                let mut bucket = old.clone();
                 bucket.swap_remove(i);
                 slot.write(tx, bucket)?;
                 Ok(true)
@@ -207,14 +225,15 @@ impl TxHashSet {
     /// relieved the pressure).
     pub fn resize(&self) -> usize {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let dir = self.dir.read(tx)?;
+            let guard = PeekGuard::pin();
+            let dir = self.dir.read_in(tx, &guard)?;
             // Re-check under the transaction: someone may have resized.
             let mut still_overflowing = false;
             let mut all_keys = Vec::new();
             for slot in dir.iter() {
-                let bucket = slot.read(tx)?;
+                let bucket = slot.read_in(tx, &guard)?;
                 still_overflowing |= bucket.len() > self.max_load;
-                all_keys.extend_from_slice(&bucket);
+                all_keys.extend_from_slice(bucket);
             }
             if !still_overflowing {
                 return Ok(dir.len());
@@ -239,10 +258,10 @@ impl TxHashSet {
     /// Nothing outside this crate's tests calls the hash set's.
     pub fn range_count_snapshot(&self, lo: u64, hi: u64) -> usize {
         self.stm.run(self.scan_params, |tx| {
-            let dir = self.dir.read(tx)?;
+            let guard = PeekGuard::pin();
             let mut n = 0usize;
-            for slot in dir.iter() {
-                n += slot.read(tx)?.iter().filter(|&&k| lo <= k && k < hi).count();
+            for slot in self.dir.read_in(tx, &guard)?.iter() {
+                n += slot.read_in(tx, &guard)?.iter().filter(|&&k| lo <= k && k < hi).count();
             }
             Ok(n)
         })
@@ -251,10 +270,10 @@ impl TxHashSet {
     /// Number of keys (one opaque transaction over all buckets).
     pub fn len(&self) -> usize {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let dir = self.dir.read(tx)?;
+            let guard = PeekGuard::pin();
             let mut n = 0;
-            for slot in dir.iter() {
-                n += slot.read(tx)?.len();
+            for slot in self.dir.read_in(tx, &guard)?.iter() {
+                n += slot.read_in(tx, &guard)?.len();
             }
             Ok(n)
         })
@@ -267,7 +286,9 @@ impl TxHashSet {
 
     /// Current bucket count (snapshot read).
     pub fn buckets(&self) -> usize {
-        self.stm.run(TxParams::new(Semantics::Snapshot), |tx| Ok(self.dir.read(tx)?.len()))
+        self.stm.run(TxParams::new(Semantics::Snapshot), |tx| {
+            Ok(self.dir.read_in(tx, &PeekGuard::pin())?.len())
+        })
     }
 }
 
@@ -365,6 +386,24 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Borrowed reads of a bucket this attempt wrote see the write.
+    #[test]
+    fn composed_operations_see_their_own_writes() {
+        let h = fresh();
+        h.insert(1);
+        let seen = h.stm().run(TxParams::default(), |tx| {
+            let inserted = h.insert_in(tx, 2)?;
+            let present = h.contains_in(tx, 2)?;
+            let inserted_again = h.insert_in(tx, 2)?;
+            let removed = h.remove_in(tx, 1)?;
+            let still_there = h.contains_in(tx, 1)?;
+            Ok([inserted, present, !inserted_again, removed, !still_there])
+        });
+        assert_eq!(seen, [true; 5]);
+        assert!(h.contains(2) && !h.contains(1));
+        assert_eq!(h.len(), 1);
     }
 
     #[test]
