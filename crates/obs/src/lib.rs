@@ -16,15 +16,8 @@
 //! * **Unified metrics** — [`MetricsRegistry`] flattens every layer's
 //!   counters (StmStats, ServerStats, durability, advisor class
 //!   tables) into one canonical dot-separated key space, exported as a
-//!   plain-text exposition dump, over the wire via the PTM1 `STATS`
-//!   opcode, and — through the [`Sampler`] thread — as per-second
-//!   rates in the same key space.
-//!
-//! * **Slow-request flight recorder** — [`flight`] retains the worst
-//!   request spans (coalesced commits whose wall time crossed a
-//!   threshold) in a tiny bounded ring that survives runs long after
-//!   the event rings wrapped. Its health counters feed the same
-//!   metrics plane.
+//!   plain-text exposition dump and over the wire via the PTM1 `STATS`
+//!   opcode.
 //!
 //! `DESIGN.md` §11 carries the overhead and non-tearing arguments;
 //! `docs/RUNBOOK.md` ("Reading the metrics plane") is the operator's
@@ -35,17 +28,13 @@
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod dump;
-pub mod flight;
 pub mod registry;
 pub mod ring;
-pub mod sampler;
 pub mod tracer;
 
 pub use dump::{RingDump, TraceDump};
-pub use flight::{FlightRecorder, SlowSpan};
 pub use registry::{
     decode_entries, encode_entries, fn_source, MetricsRegistry, MetricsSource, StmMetrics,
 };
 pub use ring::EventRing;
-pub use sampler::Sampler;
 pub use tracer::RingTracer;

@@ -38,6 +38,7 @@ pub mod poll;
 pub mod protocol;
 pub mod server;
 pub mod store;
+mod worker;
 
 pub use client::{Client, ClientError};
 pub use protocol::{ErrorCode, Request, Response, TxnOp, WriteOp};

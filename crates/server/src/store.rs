@@ -18,8 +18,9 @@
 //! wait for), so a store that implements only `commit_writes` serves
 //! exactly as before.
 
-use polytm_durable::{DurabilityLost, DurabilityOutcome, DurableKv, Staged};
-use polytm_kv::{KvStore, Value};
+use polytm::TxResult;
+use polytm_durable::{DurabilityLost, DurabilityOutcome, DurableKv, DurableTxn, Staged};
+use polytm_kv::{KvStore, KvTxn, Value};
 
 use crate::protocol::{TxnOp, WriteOp};
 
@@ -192,6 +193,72 @@ fn truncate_scan(mut entries: Vec<(u64, Value)>, limit: usize) -> (Vec<(u64, Vec
     (entries.into_iter().map(|(k, v)| (k, to_bytes(v))).collect(), truncated)
 }
 
+/// The reads and writes a write batch or `TXN` body makes, over
+/// either store's transaction handle ([`KvTxn`], [`DurableTxn`]), so
+/// each body below is written once.
+trait BodyTxn {
+    fn get(&mut self, key: u64) -> TxResult<Option<Value>>;
+    fn put(&mut self, key: u64, value: Value) -> TxResult<Option<Value>>;
+    fn delete(&mut self, key: u64) -> TxResult<Option<Value>>;
+}
+
+macro_rules! body_txn {
+    ($ty:ty) => {
+        impl BodyTxn for $ty {
+            fn get(&mut self, key: u64) -> TxResult<Option<Value>> {
+                <$ty>::get(self, key)
+            }
+            fn put(&mut self, key: u64, value: Value) -> TxResult<Option<Value>> {
+                <$ty>::put(self, key, value)
+            }
+            fn delete(&mut self, key: u64) -> TxResult<Option<Value>> {
+                <$ty>::delete(self, key)
+            }
+        }
+    };
+}
+body_txn!(KvTxn<'_, '_>);
+body_txn!(DurableTxn<'_, '_, '_>);
+
+/// Apply a coalesced run in request order; one reply per request.
+fn write_batch(tx: &mut impl BodyTxn, batch: &[WriteRequest]) -> TxResult<Vec<WriteReply>> {
+    let mut replies = Vec::with_capacity(batch.len());
+    for req in batch {
+        replies.push(match req {
+            WriteRequest::Put { key, value } => {
+                let prev = tx.put(*key, Value::from_bytes(value))?;
+                WriteReply::Written { existed: prev.is_some() }
+            }
+            WriteRequest::Delete { key } => {
+                WriteReply::Deleted { existed: tx.delete(*key)?.is_some() }
+            }
+            WriteRequest::Multi { ops } => {
+                for op in ops {
+                    match op {
+                        WriteOp::Put { key, value } => tx.put(*key, Value::from_bytes(value))?,
+                        WriteOp::Delete { key } => tx.delete(*key)?,
+                    };
+                }
+                WriteReply::Applied { ops: ops.len() as u32 }
+            }
+        });
+    }
+    Ok(replies)
+}
+
+/// Run a `TXN` body; returns its `Get` results in body order.
+fn txn_body(tx: &mut impl BodyTxn, ops: &[TxnOp]) -> TxResult<Vec<Option<Vec<u8>>>> {
+    let mut gets = Vec::new();
+    for op in ops {
+        match op {
+            TxnOp::Get { key } => gets.push(tx.get(*key)?.map(to_bytes)),
+            TxnOp::Put { key, value } => tx.put(*key, Value::from_bytes(value)).map(drop)?,
+            TxnOp::Delete { key } => tx.delete(*key).map(drop)?,
+        }
+    }
+    Ok(gets)
+}
+
 impl ServerStore for KvStore {
     fn get(&self, key: u64) -> Option<Vec<u8>> {
         KvStore::get(self, key).map(to_bytes)
@@ -218,35 +285,7 @@ impl ServerStore for KvStore {
         // The closure may retry on STM aborts: replies are rebuilt
         // from scratch each attempt so a partial attempt leaves no
         // trace (the all-or-nothing regression test leans on this).
-        let replies = self.txn(|kv| {
-            let mut replies = Vec::with_capacity(batch.len());
-            for req in batch {
-                match req {
-                    WriteRequest::Put { key, value } => {
-                        let prev = kv.put(*key, Value::from_bytes(value))?;
-                        replies.push(WriteReply::Written { existed: prev.is_some() });
-                    }
-                    WriteRequest::Delete { key } => {
-                        let prev = kv.delete(*key)?;
-                        replies.push(WriteReply::Deleted { existed: prev.is_some() });
-                    }
-                    WriteRequest::Multi { ops } => {
-                        for op in ops {
-                            match op {
-                                WriteOp::Put { key, value } => {
-                                    kv.put(*key, Value::from_bytes(value))?;
-                                }
-                                WriteOp::Delete { key } => {
-                                    kv.delete(*key)?;
-                                }
-                            }
-                        }
-                        replies.push(WriteReply::Applied { ops: ops.len() as u32 });
-                    }
-                }
-            }
-            Ok(replies)
-        });
+        let replies = self.txn(|kv| write_batch(kv, batch));
         emit_batch_commit(tag, batch.len());
         Ok(replies)
     }
@@ -256,21 +295,7 @@ impl ServerStore for KvStore {
     }
 
     fn txn(&self, ops: &[TxnOp]) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
-        Ok(KvStore::txn(self, |kv| {
-            let mut gets = Vec::new();
-            for op in ops {
-                match op {
-                    TxnOp::Get { key } => gets.push(kv.get(*key)?.map(to_bytes)),
-                    TxnOp::Put { key, value } => {
-                        kv.put(*key, Value::from_bytes(value))?;
-                    }
-                    TxnOp::Delete { key } => {
-                        kv.delete(*key)?;
-                    }
-                }
-            }
-            Ok(gets)
-        }))
+        Ok(KvStore::txn(self, |kv| txn_body(kv, ops)))
     }
 }
 
@@ -323,36 +348,8 @@ impl ServerStore for DurableKv {
         batch: &[WriteRequest],
         tag: BatchTag,
     ) -> Result<(Vec<WriteReply>, Option<u64>), StoreError> {
-        let (replies, _, staged) = DurableKv::txn_staged(self, |tx| {
-            let mut replies = Vec::with_capacity(batch.len());
-            for req in batch {
-                match req {
-                    WriteRequest::Put { key, value } => {
-                        let prev = tx.put(*key, Value::from_bytes(value))?;
-                        replies.push(WriteReply::Written { existed: prev.is_some() });
-                    }
-                    WriteRequest::Delete { key } => {
-                        let prev = tx.delete(*key)?;
-                        replies.push(WriteReply::Deleted { existed: prev.is_some() });
-                    }
-                    WriteRequest::Multi { ops } => {
-                        for op in ops {
-                            match op {
-                                WriteOp::Put { key, value } => {
-                                    tx.put(*key, Value::from_bytes(value))?;
-                                }
-                                WriteOp::Delete { key } => {
-                                    tx.delete(*key)?;
-                                }
-                            }
-                        }
-                        replies.push(WriteReply::Applied { ops: ops.len() as u32 });
-                    }
-                }
-            }
-            Ok(replies)
-        })
-        .map_err(|DurabilityLost| StoreError::ReadOnly)?;
+        let (replies, _, staged) = DurableKv::txn_staged(self, |tx| write_batch(tx, batch))
+            .map_err(|DurabilityLost| StoreError::ReadOnly)?;
         match staged {
             Staged::Ticket(seq) => Ok((replies, Some(seq))),
             Staged::Settled(DurabilityOutcome::Lost) => Err(StoreError::ReadOnly),
@@ -368,22 +365,7 @@ impl ServerStore for DurableKv {
     }
 
     fn txn(&self, ops: &[TxnOp]) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
-        DurableKv::txn(self, |tx| {
-            let mut gets = Vec::new();
-            for op in ops {
-                match op {
-                    TxnOp::Get { key } => gets.push(tx.get(*key)?.map(to_bytes)),
-                    TxnOp::Put { key, value } => {
-                        tx.put(*key, Value::from_bytes(value))?;
-                    }
-                    TxnOp::Delete { key } => {
-                        tx.delete(*key)?;
-                    }
-                }
-            }
-            Ok(gets)
-        })
-        .map_err(|DurabilityLost| StoreError::ReadOnly)
+        DurableKv::txn(self, |tx| txn_body(tx, ops)).map_err(|DurabilityLost| StoreError::ReadOnly)
     }
 
     fn is_read_only(&self) -> bool {
