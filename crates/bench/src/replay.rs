@@ -12,7 +12,8 @@
 //! 3. **WAL group-commit histograms** — batch sizes, inter-flush gaps
 //!    and fsync latencies in power-of-two buckets, from `WAL_FSYNC`;
 //! 4. **per-connection coalescing** — admitted write ops per coalesced
-//!    server commit, per connection, from `BATCH_COMMIT` (conn ≠ 0);
+//!    server commit, per connection, from `BATCH_COMMIT` (conn ≠ 0),
+//!    and the connection's backpressure stall time, from `NET_STALL`;
 //! 5. **advisor epochs and policy flips**;
 //! 6. **request spans** — every wire request's latency split into the
 //!    layers it waited on, plus join-health counters.
@@ -145,13 +146,17 @@ impl AbortSite {
     }
 }
 
-/// One connection's coalescing totals from `BATCH_COMMIT` events.
+/// One connection's coalescing totals from `BATCH_COMMIT` events and
+/// its stall time from `NET_STALL` events.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnCoalescing {
     /// Coalesced commits observed.
     pub batches: u64,
     /// Admitted write requests those commits carried (saturating).
     pub ops: u64,
+    /// Time its backlog sat at the server's cap, so the server read
+    /// nothing more from it: backpressure stall ns (saturating).
+    pub stalled_ns: u64,
 }
 
 impl ConnCoalescing {
@@ -242,7 +247,8 @@ pub struct TraceReport {
     pub wal_gap_ns: Pow2Histogram,
     /// WAL fsync latencies, in nanoseconds.
     pub wal_fsync_ns: Pow2Histogram,
-    /// Per-connection coalescing, keyed by connection id.
+    /// Per-connection coalescing and stall time, keyed by connection
+    /// id. A connection that only stalled has a row with no batches.
     pub conns: BTreeMap<u64, ConnCoalescing>,
     /// Advisor epochs closed.
     pub advisor_epochs: u64,
@@ -411,6 +417,10 @@ pub fn replay(rings: &[(u32, &[TraceEvent])]) -> TraceReport {
                         }
                     }
                     pending = PendingCommit::default();
+                }
+                code::NET_STALL => {
+                    let c = report.conns.entry(ev.a).or_default();
+                    c.stalled_ns = c.stalled_ns.saturating_add(ev.b);
                 }
                 code::REQ_DONE => {
                     let Some(at) = open.iter().position(|r| r.conn == ev.a && r.seq == ev.n) else {
@@ -587,15 +597,16 @@ pub fn render(report: &TraceReport, top: usize) -> String {
 
     let _ = writeln!(out, "\n== per-connection coalescing ==");
     if report.conns.is_empty() {
-        let _ = writeln!(out, "(no server batches)");
+        let _ = writeln!(out, "(no server batches or stalls)");
     }
     for (conn, c) in report.conns.iter().take(top) {
         let _ = writeln!(
             out,
-            "conn {conn}: {} batches  {} ops  {:.2} ops/commit",
+            "conn {conn}: {} batches  {} ops  {:.2} ops/commit  stalled {} ns",
             c.batches,
             c.ops,
-            c.ops_per_batch()
+            c.ops_per_batch(),
+            c.stalled_ns
         );
     }
 
@@ -751,6 +762,21 @@ mod tests {
         assert!(text.contains("class 3"));
         assert!(text.contains("addr 0xab"));
         assert!(text.contains("ops/commit"));
+    }
+
+    /// `NET_STALL` time adds up per connection, and a connection that
+    /// only stalled still gets a row.
+    #[test]
+    fn stalls_add_up_per_connection() {
+        let stall = |conn, ns, ts| req_ev(code::NET_STALL, 0, 0, conn, ns, ts);
+        let commit = ev(code::BATCH_COMMIT, 0, NO_CLASS, 2, 7, pack_seq_range(1, 2), 10);
+        let events = [commit, stall(7, 1_500, 20), stall(7, 2_500, 30), stall(9, 400, 40)];
+        let r = replay(&[(0, events.as_slice())]);
+        let rows = Vec::from_iter(r.conns.iter().map(|(&id, c)| (id, c.batches, c.stalled_ns)));
+        assert_eq!(rows, vec![(7, 1, 4_000), (9, 0, 400)]);
+        let text = render(&r, 10);
+        assert!(text.contains("conn 7: 1 batches  2 ops  2.00 ops/commit  stalled 4000 ns"));
+        assert!(text.contains("conn 9: 0 batches  0 ops  0.00 ops/commit  stalled 400 ns"));
     }
 
     /// A commit whose semantics byte names no semantics is counted apart

@@ -15,6 +15,9 @@
 //!   motivating example of what lock-free hash tables cannot do.
 //! * [`txskiplist`] — skip-list set with deterministic towers; same
 //!   polymorphic operation mix as the list but O(log n) traversals.
+//! * [`txmap`] — ordered `i64`-keyed map: the same skip list as
+//!   [`txskiplist`] ([`skiplist::SkipList`]) with a value register per
+//!   node; elastic lookups, overwrites that never restructure the index.
 //! * [`txcounter`] — striped counter: opaque increments, snapshot reads
 //!   that never abort.
 //! * [`txqueue`] — two-stack FIFO queue, all-opaque (its operations are
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod skiplist;
 pub mod txcounter;
 pub mod txhash;
 pub mod txlist;

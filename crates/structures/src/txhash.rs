@@ -42,12 +42,8 @@ pub struct TxHashSet {
     dir: TVar<Directory>,
     /// Resize when a bucket exceeds this many keys.
     max_load: usize,
-    /// `start(p)` parameters for read operations (`contains`).
-    read_params: TxParams,
-    /// `start(p)` parameters for updates (`insert`/`remove`).
-    update_params: TxParams,
-    /// `start(p)` parameters for range scans; snapshot by default.
-    scan_params: TxParams,
+    /// `start(p)` parameters for `contains`/`insert`/`remove`.
+    op_params: TxParams,
 }
 
 fn bucket_index(key: u64, n: usize) -> usize {
@@ -62,76 +58,32 @@ impl TxHashSet {
     }
 
     /// As [`TxHashSet::new`] with explicit per-key-operation semantics
-    /// (pass [`Semantics::Opaque`] for the monomorphic baseline).
+    /// (pass [`Semantics::Opaque`] for the monomorphic baseline). Range
+    /// scans run snapshot; the resize transaction stays monomorphic
+    /// `def` whatever the per-key semantics.
+    ///
+    /// # Panics
+    /// Panics on read-only `op_semantics` (updates write; they would
+    /// abort forever), or on zero `buckets`/`max_load`.
     pub fn with_op_semantics(
         stm: Arc<Stm>,
         buckets: usize,
         max_load: usize,
         op_semantics: Semantics,
     ) -> Self {
-        Self::with_op_params(
-            stm,
-            buckets,
-            max_load,
-            TxParams::new(op_semantics),
-            TxParams::new(op_semantics),
-            TxParams::new(Semantics::Snapshot),
-        )
-    }
-
-    /// As [`TxHashSet::new`] with full per-operation-kind `start(p)`
-    /// parameters: `read` drives `contains`, `update` drives
-    /// `insert`/`remove`, `scan` drives
-    /// [`TxHashSet::range_count_snapshot`]. Tag the parameters with
-    /// [`polytm::ClassId`]s (and install an advisor on the STM) for an
-    /// adaptively polymorphic table. The resize transaction stays
-    /// monomorphic `def` — it must be atomic whatever the advisor
-    /// thinks of the per-key classes.
-    ///
-    /// # Panics
-    /// Panics when `update` requests read-only semantics, or on zero
-    /// `buckets`/`max_load`.
-    pub fn with_op_params(
-        stm: Arc<Stm>,
-        buckets: usize,
-        max_load: usize,
-        read: TxParams,
-        update: TxParams,
-        scan: TxParams,
-    ) -> Self {
         assert!(buckets > 0 && max_load > 0);
         assert!(
-            !update.semantics.is_read_only(),
+            !op_semantics.is_read_only(),
             "update operations write; read-only semantics cannot commit them"
         );
         let dir: Directory = Arc::new((0..buckets).map(|_| stm.new_tvar(Vec::new())).collect());
         let dir = stm.new_tvar(dir);
-        Self { stm, dir, max_load, read_params: read, update_params: update, scan_params: scan }
+        Self { stm, dir, max_load, op_params: TxParams::new(op_semantics) }
     }
 
     /// The STM this table lives in.
     pub fn stm(&self) -> &Arc<Stm> {
         &self.stm
-    }
-
-    /// A handle to the *same* underlying table with different
-    /// per-operation parameters (see [`TxHashSet::with_op_params`]).
-    ///
-    /// # Panics
-    /// Panics when `update` requests read-only semantics.
-    pub fn clone_with_params(&self, read: TxParams, update: TxParams, scan: TxParams) -> TxHashSet {
-        assert!(
-            !update.semantics.is_read_only(),
-            "update operations write; read-only semantics cannot commit them"
-        );
-        TxHashSet {
-            stm: Arc::clone(&self.stm),
-            dir: self.dir.clone(),
-            max_load: self.max_load,
-            read_params: read,
-            update_params: update,
-            scan_params: scan,
-        }
     }
 
     /// Transaction-composable membership test.
@@ -195,13 +147,13 @@ impl TxHashSet {
 
     /// Is `key` present? (One elastic transaction by default.)
     pub fn contains(&self, key: u64) -> bool {
-        self.stm.run(self.read_params, |tx| self.contains_in(tx, key))
+        self.stm.run(self.op_params, |tx| self.contains_in(tx, key))
     }
 
     /// Insert `key`; `false` if present. Triggers a transactional resize
     /// when the touched bucket overflows.
     pub fn insert(&self, key: u64) -> bool {
-        let overflow = self.stm.run(self.update_params, |tx| self.insert_raw(tx, key));
+        let overflow = self.stm.run(self.op_params, |tx| self.insert_raw(tx, key));
         match overflow {
             None => false,
             Some(overflow) => {
@@ -215,7 +167,7 @@ impl TxHashSet {
 
     /// Remove `key`; `false` if absent.
     pub fn remove(&self, key: u64) -> bool {
-        self.stm.run(self.update_params, |tx| self.remove_in(tx, key))
+        self.stm.run(self.op_params, |tx| self.remove_in(tx, key))
     }
 
     /// Double the table in **one monomorphic transaction**: atomically
@@ -257,7 +209,7 @@ impl TxHashSet {
     /// only the range (polybench's `set-mixed` runs the skip list's).
     /// Nothing outside this crate's tests calls the hash set's.
     pub fn range_count_snapshot(&self, lo: u64, hi: u64) -> usize {
-        self.stm.run(self.scan_params, |tx| {
+        self.stm.run(TxParams::new(Semantics::Snapshot), |tx| {
             let guard = PeekGuard::pin();
             let mut n = 0usize;
             for slot in self.dir.read_in(tx, &guard)?.iter() {

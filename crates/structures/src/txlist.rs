@@ -98,31 +98,19 @@ impl TxList {
 
     /// A handle to the *same* underlying list whose single-key operations
     /// run under `semantics` — polymorphism at the handle level (used by
-    /// the semantics-mix ablation E7). For a read-only (snapshot) handle
-    /// use [`TxList::clone_with_params`] with a writable update
-    /// semantics.
+    /// the semantics-mix ablation E7). Range scans keep this handle's
+    /// parameters.
     ///
     /// # Panics
     /// Panics on read-only semantics (the handle's updates would retry
     /// forever).
     pub fn clone_with_semantics(&self, semantics: Semantics) -> TxList {
-        self.clone_with_params(TxParams::new(semantics), TxParams::new(semantics), self.scan_params)
-    }
-
-    /// A handle to the *same* underlying list with different
-    /// per-operation parameters (see [`TxList::with_op_params`]).
-    pub fn clone_with_params(&self, read: TxParams, update: TxParams, scan: TxParams) -> TxList {
         assert!(
-            !update.semantics.is_read_only(),
+            !semantics.is_read_only(),
             "update operations write; read-only semantics cannot commit them"
         );
-        TxList {
-            stm: Arc::clone(&self.stm),
-            head: self.head.clone(),
-            read_params: read,
-            update_params: update,
-            scan_params: scan,
-        }
+        let params = TxParams::new(semantics);
+        TxList { read_params: params, update_params: params, ..self.clone() }
     }
 
     /// Walks to the first node whose key is at least `key`, by reference

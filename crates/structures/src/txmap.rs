@@ -1,34 +1,18 @@
-//! Transactional ordered map (skip-list based): `i64` keys to arbitrary
-//! clonable values, with per-operation semantics like the sets.
-//!
-//! `get` runs the paper's `weak` (elastic) semantics by default — a map
-//! lookup is a search traversal, the same shape as Figure 1's p1. Value
-//! updates write through a per-node value register, so overwriting a
-//! value never restructures the index.
+//! Transactional ordered map: `i64` keys to arbitrary clonable values,
+//! with per-operation semantics like the sets. It is the skip list
+//! [`crate::TxSkipList`] is ([`crate::skiplist::SkipList`]) with a value
+//! register as each node's payload. `get` runs the paper's `weak`
+//! (elastic) semantics by default — a map lookup is a search traversal,
+//! the same shape as Figure 1's p1. Value updates write through the
+//! per-node register, so overwriting a value never restructures the
+//! index.
 
-use std::sync::Arc;
+use polytm::{PeekGuard, Semantics, TVar, Transaction, TxParams, TxResult};
 
-use polytm::{Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use crate::skiplist::SkipList;
 
-const MAX_LEVEL: usize = 16;
-
-type Link<V> = Option<Arc<Node<V>>>;
-
-struct Node<V: Clone + Send + Sync + 'static> {
-    key: i64,
-    value: TVar<V>,
-    next: Vec<TVar<Link<V>>>,
-}
-
-fn height_of(key: i64) -> usize {
-    let mut h = key as u64;
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-    h ^= h >> 31;
-    ((h.trailing_zeros() as usize) + 1).min(MAX_LEVEL)
-}
-
-/// Ordered transactional map. Cloning shares the map.
+/// Ordered transactional map: the skip list whose node payload is the
+/// value's register. Cloning shares the map.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -41,205 +25,76 @@ fn height_of(key: i64) -> usize {
 /// assert_eq!(map.get(2), Some("TWO"));
 /// assert_eq!(map.entries_snapshot(), vec![(2, "TWO")]);
 /// ```
-#[derive(Clone)]
-pub struct TxMap<V: Clone + Send + Sync + 'static> {
-    stm: Arc<Stm>,
-    head: Arc<Vec<TVar<Link<V>>>>,
-    op_semantics: Semantics,
-}
+pub type TxMap<V> = SkipList<TVar<V>>;
 
 impl<V: Clone + Send + Sync + 'static> TxMap<V> {
-    /// Empty map, lookups elastic.
-    pub fn new(stm: Arc<Stm>) -> Self {
-        Self::with_op_semantics(stm, Semantics::elastic())
-    }
-
-    /// Empty map with explicit per-operation semantics.
-    pub fn with_op_semantics(stm: Arc<Stm>, op_semantics: Semantics) -> Self {
-        let head = Arc::new((0..MAX_LEVEL).map(|_| stm.new_tvar(None)).collect::<Vec<_>>());
-        Self { stm, head, op_semantics }
-    }
-
-    /// The STM this map lives in.
-    pub fn stm(&self) -> &Arc<Stm> {
-        &self.stm
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn find_preds(
-        &self,
-        tx: &mut Transaction<'_>,
-        key: i64,
-    ) -> TxResult<(Vec<Option<Arc<Node<V>>>>, Link<V>)> {
-        let mut preds: Vec<Option<Arc<Node<V>>>> = vec![None; MAX_LEVEL];
-        let mut pred: Option<Arc<Node<V>>> = None;
-        for level in (0..MAX_LEVEL).rev() {
-            loop {
-                let link = match &pred {
-                    Some(p) => p.next[level].read(tx)?,
-                    None => self.head[level].read(tx)?,
-                };
-                match link {
-                    Some(ref n) if n.key < key => pred = Some(Arc::clone(n)),
-                    _ => break,
-                }
-            }
-            preds[level] = pred.clone();
-        }
-        let candidate = match &pred {
-            Some(p) => p.next[0].read(tx)?,
-            None => self.head[0].read(tx)?,
-        };
-        Ok((preds, candidate))
-    }
-
     /// Transaction-composable lookup.
     pub fn get_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<Option<V>> {
-        let (_, cand) = self.find_preds(tx, key)?;
-        match cand {
-            Some(n) if n.key == key => Ok(Some(n.value.read(tx)?)),
-            _ => Ok(None),
-        }
+        let guard = PeekGuard::pin();
+        self.find(tx, key, &guard)?.map(|node| node.payload.read(tx)).transpose()
     }
 
     /// Transaction-composable insert/overwrite; returns the previous
-    /// value if any.
-    ///
-    /// When `tx` runs elastic semantics, its window must cover the whole
-    /// tower (>= `MAX_LEVEL + 2`, see `write_semantics`): a narrower
-    /// window cuts predecessor-link reads this insert later writes
-    /// against, which can lose a concurrent insert.
+    /// value if any. An elastic `tx` needs [`TxMap::insert`]'s window,
+    /// one that covers a whole tower: a narrower one can lose a
+    /// concurrent insert.
     pub fn insert_in(&self, tx: &mut Transaction<'_>, key: i64, value: V) -> TxResult<Option<V>> {
-        let (preds, cand) = self.find_preds(tx, key)?;
-        if let Some(n) = cand {
-            if n.key == key {
-                return Ok(Some(n.value.replace(tx, value)?));
-            }
+        let guard = PeekGuard::pin();
+        let (preds, found) = self.find_preds(tx, key, &guard)?;
+        if let Some(node) = found {
+            return Ok(Some(node.payload.replace(tx, value)?));
         }
-        let h = height_of(key);
-        let mut levels = Vec::with_capacity(h);
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..h {
-            let succ = match &preds[level] {
-                Some(p) => p.next[level].read(tx)?,
-                None => self.head[level].read(tx)?,
-            };
-            levels.push(self.stm.new_tvar(succ));
-        }
-        let node = Arc::new(Node { key, value: self.stm.new_tvar(value), next: levels });
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..h {
-            match &preds[level] {
-                Some(p) => p.next[level].write(tx, Some(Arc::clone(&node)))?,
-                None => self.head[level].write(tx, Some(Arc::clone(&node)))?,
-            }
-        }
+        self.link_in(tx, &preds, key, self.stm().new_tvar(value))?;
         Ok(None)
     }
 
     /// Transaction-composable remove; returns the removed value if any.
     pub fn remove_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<Option<V>> {
-        let (preds, cand) = self.find_preds(tx, key)?;
-        let node = match cand {
-            Some(n) if n.key == key => n,
-            _ => return Ok(None),
-        };
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..node.next.len() {
-            let succ = node.next[level].read(tx)?;
-            match &preds[level] {
-                Some(p) => {
-                    let cur = p.next[level].read(tx)?;
-                    if matches!(cur, Some(ref c) if Arc::ptr_eq(c, &node)) {
-                        p.next[level].write(tx, succ)?;
-                    }
-                }
-                None => {
-                    let cur = self.head[level].read(tx)?;
-                    if matches!(cur, Some(ref c) if Arc::ptr_eq(c, &node)) {
-                        self.head[level].write(tx, succ)?;
-                    }
-                }
-            }
-        }
-        Ok(Some(node.value.read(tx)?))
-    }
-
-    /// Semantics for operations that *write* tower links. An elastic
-    /// window must keep every link the operation later writes against
-    /// live (cut reads are never validated); `insert_in` re-reads up to
-    /// `MAX_LEVEL + 1` successor links before its first write, so the
-    /// narrow search window of [`Semantics::elastic`] would let a
-    /// concurrent insert through the same predecessor be silently
-    /// overwritten (a lost entry). Lookups keep the narrow window.
-    fn write_semantics(&self) -> Semantics {
-        match self.op_semantics {
-            Semantics::Elastic { .. } => Semantics::Elastic { window: MAX_LEVEL + 2 },
-            other => other,
-        }
+        let guard = PeekGuard::pin();
+        let (preds, found) = self.find_preds(tx, key, &guard)?;
+        let Some(node) = found else { return Ok(None) };
+        self.unlink(tx, &guard, &preds, node)?;
+        Ok(Some(node.payload.read(tx)?))
     }
 
     /// Lookup under the map's operation semantics.
     pub fn get(&self, key: i64) -> Option<V> {
-        self.stm.run(TxParams::new(self.op_semantics), |tx| self.get_in(tx, key))
+        self.run_search(|tx| self.get_in(tx, key))
     }
 
     /// Insert/overwrite; returns the previous value.
     pub fn insert(&self, key: i64, value: V) -> Option<V> {
-        self.stm
-            .run(TxParams::new(self.write_semantics()), |tx| self.insert_in(tx, key, value.clone()))
+        self.run_write(|tx| self.insert_in(tx, key, value.clone()))
     }
 
     /// Remove; returns the removed value.
     pub fn remove(&self, key: i64) -> Option<V> {
-        self.stm.run(TxParams::new(self.write_semantics()), |tx| self.remove_in(tx, key))
+        self.run_write(|tx| self.remove_in(tx, key))
     }
 
     /// Atomically update the value at `key` (no-op if absent); returns
     /// whether a value was updated. A genuine read-modify-write, so it
     /// always runs opaque.
     pub fn update<F: Fn(&V) -> V>(&self, key: i64, f: F) -> bool {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let (_, cand) = self.find_preds(tx, key)?;
-            match cand {
-                Some(n) if n.key == key => {
-                    let old = n.value.read(tx)?;
-                    n.value.write(tx, f(&old))?;
-                    Ok(true)
-                }
-                _ => Ok(false),
-            }
+        self.stm().run(TxParams::new(Semantics::Opaque), |tx| {
+            let guard = PeekGuard::pin();
+            let Some(node) = self.find(tx, key, &guard)? else { return Ok(false) };
+            let new = f(node.payload.read_in(tx, &guard)?);
+            node.payload.write(tx, new)?;
+            Ok(true)
         })
-    }
-
-    /// Number of entries (opaque).
-    pub fn len(&self) -> usize {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let mut n = 0;
-            let mut link = self.head[0].read(tx)?;
-            while let Some(node) = link {
-                n += 1;
-                link = node.next[0].read(tx)?;
-            }
-            Ok(n)
-        })
-    }
-
-    /// True when the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| Ok(self.head[0].read(tx)?.is_none()))
     }
 
     /// Ordered `(key, value)` snapshot under **snapshot** semantics —
     /// a consistent O(n) export that never aborts.
     pub fn entries_snapshot(&self) -> Vec<(i64, V)> {
-        self.stm.run(TxParams::new(Semantics::Snapshot), |tx| {
+        self.stm().snapshot(|tx| {
+            let guard = PeekGuard::pin();
             let mut out = Vec::new();
-            let mut link = self.head[0].read(tx)?;
-            while let Some(node) = link {
-                out.push((node.key, node.value.read(tx)?));
-                link = node.next[0].read(tx)?;
-            }
+            self.walk(tx, &guard, None, |tx, node| {
+                out.push((node.key, node.payload.read(tx)?));
+                Ok(true)
+            })?;
             Ok(out)
         })
     }
@@ -248,7 +103,9 @@ impl<V: Clone + Send + Sync + 'static> TxMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polytm::Stm;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn fresh() -> TxMap<String> {
         TxMap::new(Arc::new(Stm::new()))
@@ -361,5 +218,22 @@ mod tests {
         });
         assert_eq!(inventory.get(1), Some(4));
         assert_eq!(sold.get(1), Some(1));
+    }
+
+    #[test]
+    fn towers_hold_after_seeded_insert_remove_overwrite() {
+        let m: TxMap<u64> = TxMap::new(Arc::new(Stm::new()));
+        let mut model = BTreeMap::new();
+        let mut seed = 9u64;
+        for _ in 0..2_000 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let k = ((seed >> 33) % 256) as i64;
+            match seed.is_multiple_of(3) {
+                true => assert_eq!(m.remove(k), model.remove(&k)),
+                false => assert_eq!(m.insert(k, seed), model.insert(k, seed)),
+            }
+        }
+        assert_eq!(m.assert_towers(), Vec::from_iter(model.keys().copied()));
+        assert_eq!(m.entries_snapshot(), Vec::from_iter(model));
     }
 }

@@ -2,247 +2,75 @@
 //!
 //! The elastic-transactions evaluation (the systems companion to this
 //! paper) used a skip list as its O(log n) search structure; this is the
-//! transactional equivalent. Tower heights derive from a hash of the key,
-//! keeping the structure deterministic for reproducible benchmarks.
-//! Like [`crate::txlist::TxList`], single-key operations default to the
+//! transactional equivalent: the crate's one skip list
+//! ([`crate::skiplist::SkipList`], shared with [`crate::TxMap`]) with an
+//! empty payload, so a node is its key and its tower. Like
+//! [`crate::txlist::TxList`], single-key operations default to the
 //! paper's `weak` (elastic) semantics; aggregates run opaque/snapshot.
-//!
-//! Every descent reads links by reference ([`TVar::read_in`]): a hop
-//! clones no `Arc` and so writes nothing the other threads' descents
-//! share. Only the links an update writes are owned clones.
 
-use std::sync::Arc;
+use polytm::{PeekGuard, Semantics, Transaction, TxParams, TxResult};
 
-use polytm::{PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
-
-const MAX_LEVEL: usize = 16;
-
-type Link = Option<Arc<Node>>;
-
-struct Node {
-    key: i64,
-    /// `next[l]` is the successor at level `l`; the tower's height is
-    /// `next.len()`.
-    next: Vec<TVar<Link>>,
-}
-
-/// Height of `key`'s tower: geometric(1/2) via trailing zeros of a mixed
-/// hash, deterministic per key.
-fn height_of(key: i64) -> usize {
-    let mut h = key as u64;
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-    h ^= h >> 31;
-    ((h.trailing_zeros() as usize) + 1).min(MAX_LEVEL)
-}
+use crate::skiplist::SkipList;
 
 /// Sorted transactional set of `i64` keys with O(log n) expected
-/// traversals. Cloning shares the structure.
-#[derive(Clone)]
-pub struct TxSkipList {
-    stm: Arc<Stm>,
-    /// Head tower: `head[l]` is the first node at level `l`.
-    head: Arc<Vec<TVar<Link>>>,
-    op_semantics: Semantics,
-}
+/// traversals: the skip list with no payload. Cloning shares the
+/// structure.
+pub type TxSkipList = SkipList<()>;
 
 impl TxSkipList {
-    /// Empty set, single-key operations elastic.
-    pub fn new(stm: Arc<Stm>) -> Self {
-        Self::with_op_semantics(stm, Semantics::elastic())
-    }
-
-    /// Empty set with explicit per-key-operation semantics.
-    pub fn with_op_semantics(stm: Arc<Stm>, op_semantics: Semantics) -> Self {
-        let head = Arc::new((0..MAX_LEVEL).map(|_| stm.new_tvar(None)).collect::<Vec<_>>());
-        Self { stm, head, op_semantics }
-    }
-
-    /// The STM this skip list lives in.
-    pub fn stm(&self) -> &Arc<Stm> {
-        &self.stm
-    }
-
-    /// The tower descent, by reference under `guard`: at each level,
-    /// follows links while they lead to keys below `key`, hands
-    /// `at_level` the tower it stopped in (the head's or a node's), and
-    /// returns the level-0 link that stopped it — the candidate.
-    fn descend<'g>(
-        &'g self,
-        tx: &mut Transaction<'_>,
-        key: i64,
-        guard: &'g PeekGuard,
-        mut at_level: impl FnMut(usize, &'g [TVar<Link>]),
-    ) -> TxResult<&'g Link> {
-        let mut tower: &'g [TVar<Link>] = &self.head;
-        let mut link: &'g Link = &None;
-        for level in (0..MAX_LEVEL).rev() {
-            loop {
-                link = tower[level].read_in(tx, guard)?;
-                match link {
-                    Some(node) if node.key < key => tower = &node.next,
-                    _ => break,
-                }
-            }
-            at_level(level, tower);
-        }
-        Ok(link)
-    }
-
-    /// The descent for an update: the candidate, plus each level's
-    /// predecessor tower, whose link at that level the update writes.
-    #[allow(clippy::type_complexity)]
-    fn find_preds<'g>(
-        &'g self,
-        tx: &mut Transaction<'_>,
-        key: i64,
-        guard: &'g PeekGuard,
-    ) -> TxResult<([&'g [TVar<Link>]; MAX_LEVEL], &'g Link)> {
-        let mut preds: [&'g [TVar<Link>]; MAX_LEVEL] = [&self.head[..]; MAX_LEVEL];
-        let candidate = self.descend(tx, key, guard, |level, tower| preds[level] = tower)?;
-        Ok((preds, candidate))
-    }
-
-    /// Visits the level-0 keys from `link` on, in order, by reference,
-    /// until `visit` returns false.
-    fn walk<'g>(
-        tx: &mut Transaction<'_>,
-        guard: &'g PeekGuard,
-        mut link: &'g Link,
-        mut visit: impl FnMut(i64) -> bool,
-    ) -> TxResult<()> {
-        while let Some(node) = link {
-            if !visit(node.key) {
-                break;
-            }
-            link = node.next[0].read_in(tx, guard)?;
-        }
-        Ok(())
-    }
-
-    /// Visits every key in order (see [`TxSkipList::walk`]).
-    fn for_each_key(
-        &self,
-        tx: &mut Transaction<'_>,
-        visit: impl FnMut(i64) -> bool,
-    ) -> TxResult<()> {
-        let guard = PeekGuard::pin();
-        let first = self.head[0].read_in(tx, &guard)?;
-        Self::walk(tx, &guard, first, visit)
-    }
-
     /// Transaction-composable membership test.
     pub fn contains_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
         let guard = PeekGuard::pin();
-        let candidate = self.descend(tx, key, &guard, |_, _| {})?;
-        Ok(matches!(candidate, Some(n) if n.key == key))
+        Ok(self.find(tx, key, &guard)?.is_some())
     }
 
-    /// Transaction-composable insert; `false` if present.
-    ///
-    /// When `tx` runs elastic semantics, its window must cover the whole
-    /// tower (>= `MAX_LEVEL + 2`, see `write_semantics`): a narrower
-    /// window cuts predecessor-link reads this insert later writes
-    /// against, which can lose a concurrent insert.
+    /// Transaction-composable insert; `false` if present. An elastic `tx`
+    /// needs [`TxSkipList::insert`]'s window, one that covers a whole
+    /// tower: a narrower one can lose a concurrent insert.
     pub fn insert_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
         let guard = PeekGuard::pin();
-        let (preds, candidate) = self.find_preds(tx, key, &guard)?;
-        if matches!(candidate, Some(n) if n.key == key) {
+        let (preds, found) = self.find_preds(tx, key, &guard)?;
+        if found.is_some() {
             return Ok(false);
         }
-        let h = height_of(key);
-        let mut levels = Vec::with_capacity(h);
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..h {
-            let succ = preds[level][level].read(tx)?;
-            levels.push(self.stm.new_tvar(succ));
-        }
-        let node = Arc::new(Node { key, next: levels });
-        #[allow(clippy::needless_range_loop)] // parallel towers/arrays indexed together
-        for level in 0..h {
-            preds[level][level].write(tx, Some(Arc::clone(&node)))?;
-        }
+        self.link_in(tx, &preds, key, ())?;
         Ok(true)
     }
 
     /// Transaction-composable remove; `false` if absent.
     pub fn remove_in(&self, tx: &mut Transaction<'_>, key: i64) -> TxResult<bool> {
         let guard = PeekGuard::pin();
-        let (preds, candidate) = self.find_preds(tx, key, &guard)?;
-        let node = match candidate {
-            Some(n) if n.key == key => n,
-            _ => return Ok(false),
-        };
-        for (level, next) in node.next.iter().enumerate() {
-            // The predecessor at this level may not point at `node` (its
-            // tower may be taller than where we found it); skip it if so.
-            let succ = next.read(tx)?;
-            let link = &preds[level][level];
-            if matches!(link.read_in(tx, &guard)?, Some(c) if Arc::ptr_eq(c, node)) {
-                link.write(tx, succ)?;
-            }
-        }
+        let (preds, found) = self.find_preds(tx, key, &guard)?;
+        let Some(node) = found else { return Ok(false) };
+        self.unlink(tx, &guard, &preds, node)?;
         Ok(true)
-    }
-
-    /// Semantics for operations that *write* tower links. An elastic
-    /// window must keep every link the operation later writes against
-    /// live (cut reads are never validated); `insert_in` re-reads up to
-    /// `MAX_LEVEL + 1` successor links before its first write, so the
-    /// narrow search window of [`Semantics::elastic`] would let a
-    /// concurrent insert through the same predecessor be silently
-    /// overwritten (a lost node). Search operations keep the narrow
-    /// window — they write nothing, so cutting stays sound.
-    fn write_semantics(&self) -> Semantics {
-        match self.op_semantics {
-            Semantics::Elastic { .. } => Semantics::Elastic { window: MAX_LEVEL + 2 },
-            other => other,
-        }
     }
 
     /// Is `key` in the set?
     pub fn contains(&self, key: i64) -> bool {
-        self.stm.run(TxParams::new(self.op_semantics), |tx| self.contains_in(tx, key))
+        self.run_search(|tx| self.contains_in(tx, key))
     }
 
     /// Insert `key`; `false` if present.
     pub fn insert(&self, key: i64) -> bool {
-        self.stm.run(TxParams::new(self.write_semantics()), |tx| self.insert_in(tx, key))
+        self.run_write(|tx| self.insert_in(tx, key))
     }
 
     /// Remove `key`; `false` if absent.
     pub fn remove(&self, key: i64) -> bool {
-        self.stm.run(TxParams::new(self.write_semantics()), |tx| self.remove_in(tx, key))
-    }
-
-    /// Number of keys (opaque, walks level 0).
-    pub fn len(&self) -> usize {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
-            let mut n = 0;
-            self.for_each_key(tx, |_| {
-                n += 1;
-                true
-            })?;
-            Ok(n)
-        })
-    }
-
-    /// True when empty (opaque).
-    pub fn is_empty(&self) -> bool {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| Ok(self.head[0].read(tx)?.is_none()))
+        self.run_write(|tx| self.remove_in(tx, key))
     }
 
     /// Number of keys in `[lo, hi)` under **snapshot** semantics: an
     /// O(log n) tower descent to `lo`, then a level-0 walk to `hi`,
     /// observing one consistent cut without ever aborting.
     pub fn range_count_snapshot(&self, lo: i64, hi: i64) -> usize {
-        self.stm.snapshot(|tx| {
+        self.stm().snapshot(|tx| {
             let guard = PeekGuard::pin();
-            let first = self.descend(tx, lo, &guard, |_, _| {})?;
             let mut n = 0usize;
-            Self::walk(tx, &guard, first, |key| {
-                n += usize::from(key < hi);
-                key < hi
+            self.walk(tx, &guard, Some(lo), |_, node| {
+                n += usize::from(node.key < hi);
+                Ok(node.key < hi)
             })?;
             Ok(n)
         })
@@ -250,11 +78,12 @@ impl TxSkipList {
 
     /// Sorted snapshot of the keys (opaque).
     pub fn to_vec(&self) -> Vec<i64> {
-        self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
+        self.stm().run(TxParams::new(Semantics::Opaque), |tx| {
+            let guard = PeekGuard::pin();
             let mut out = Vec::new();
-            self.for_each_key(tx, |key| {
-                out.push(key);
-                true
+            self.walk(tx, &guard, None, |_, node| {
+                out.push(node.key);
+                Ok(true)
             })?;
             Ok(out)
         })
@@ -264,6 +93,10 @@ impl TxSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::height_of;
+    use polytm::Stm;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn fresh() -> TxSkipList {
         TxSkipList::new(Arc::new(Stm::new()))
@@ -377,5 +210,41 @@ mod tests {
         });
         let v = s.to_vec();
         assert!(v.windows(2).all(|w| w[0] < w[1]), "sorted unique: {v:?}");
+    }
+
+    /// A seeded insert/remove churn over the keys `k * stride + offset`,
+    /// `k < 128`, each result checked against a model it returns.
+    fn churn(s: &TxSkipList, mut seed: u64, stride: i64, offset: i64) -> BTreeSet<i64> {
+        let mut model = BTreeSet::new();
+        for _ in 0..1_500 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let k = ((seed >> 33) % 128) as i64 * stride + offset;
+            if seed & (1 << 20) == 0 {
+                assert_eq!(s.insert(k), model.insert(k));
+            } else {
+                assert_eq!(s.remove(k), model.remove(&k));
+            }
+        }
+        model
+    }
+
+    #[test]
+    fn towers_hold_after_seeded_churn() {
+        let s = fresh();
+        let model = churn(&s, 7, 1, 0);
+        assert_eq!(s.assert_towers(), Vec::from_iter(model));
+    }
+
+    /// Two threads churn interleaved keys, so they share predecessors,
+    /// but each thread's model is exact.
+    #[test]
+    fn towers_hold_after_two_thread_opaque_churn() {
+        let s = TxSkipList::with_op_semantics(Arc::new(Stm::new()), Semantics::Opaque);
+        let union: BTreeSet<i64> = std::thread::scope(|sc| {
+            let s = &s;
+            let threads = [0, 1].map(|t| sc.spawn(move || churn(s, 3 + t as u64, 2, t)));
+            threads.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(s.assert_towers(), Vec::from_iter(union));
     }
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use polytm::{PeekGuard, Semantics, Stm, TxParams};
-use polytm_structures::{TxList, TxSkipList};
+use polytm_structures::{TxList, TxMap, TxSkipList};
 
 #[test]
 fn read_own_write_survives_a_rewrite() {
@@ -55,6 +55,30 @@ fn skip_list_updates_twice_through_one_predecessor() {
     assert_eq!(results, (true, true, true, true, true, false));
     assert_eq!(set.to_vec(), vec![10, 15, 40]);
     assert_eq!(set.range_count_snapshot(0, 100), 3);
+}
+
+/// `insert_in(20)` and `insert_in(15)` both write 10's level-0 link,
+/// `get_in(40)` reads back the value `insert_in(40)` overwrote, and
+/// `remove_in(20)` unlinks through the links the inserts wrote.
+#[test]
+fn map_updates_twice_through_one_predecessor() {
+    let stm = Arc::new(Stm::new());
+    let map = TxMap::with_op_semantics(Arc::clone(&stm), Semantics::Opaque);
+    for key in [10, 40] {
+        assert_eq!(map.insert(key, key), None);
+    }
+    let results = stm.run(TxParams::default(), |tx| {
+        Ok((
+            map.insert_in(tx, 20, 2)?,
+            map.insert_in(tx, 15, 1)?,
+            map.insert_in(tx, 40, 4)?,
+            map.get_in(tx, 40)?,
+            map.remove_in(tx, 20)?,
+            map.get_in(tx, 20)?,
+        ))
+    });
+    assert_eq!(results, (None, None, Some(40), Some(4), Some(2), None));
+    assert_eq!(map.entries_snapshot(), vec![(10, 10), (15, 1), (40, 4)]);
 }
 
 #[test]
