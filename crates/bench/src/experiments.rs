@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use polytm::{
     Backoff, ConflictArbiter, Greedy, NestingPolicy, Semantics, Stm, StmConfig, Suicide, TxParams,
 };
+use polytm_durable::{DurableKv, DurableKvConfig, FaultFs};
 use polytm_kv::{KvStore, Value};
 use polytm_schedule::{
     accepts, check_theorem1, check_theorem2, figure1_interleaving, figure1_lock_schedule,
@@ -544,6 +545,39 @@ pub fn micro_single_thread(profile: &Profile) -> String {
     t.render()
 }
 
+/// Micro — crash recovery: `DurableKv::open` of an in-memory device
+/// holding a checkpoint of 2^16 records of 64 bytes and an empty log,
+/// opened at least five times (and for at least the profile's window):
+/// the median and interquartile range of the opens.
+pub fn micro_recovery(profile: &Profile) -> String {
+    let mut t = Table::new("micro: recovery", &["open", "opens", "median ms", "IQR ms"]);
+    let device = Arc::new(FaultFs::new(1));
+    let store = DurableKv::open(device.clone(), DurableKvConfig::default()).expect("empty device");
+    let records: Vec<(u64, Value)> =
+        (0..1u64 << 16).map(|k| (k, Value::from_bytes(&k.to_le_bytes().repeat(8)))).collect();
+    store.multi_put(&records).expect("the in-memory device does not fail");
+    store.checkpoint().expect("the in-memory device does not fail");
+    drop(store);
+    let mut ms = Vec::new();
+    let start = Instant::now();
+    while ms.len() < 5 || start.elapsed() < profile.duration {
+        let open = Instant::now();
+        let store =
+            DurableKv::open(device.clone(), DurableKvConfig::default()).expect("checkpointed");
+        ms.push(open.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(store.len(), records.len(), "recovery lost records");
+    }
+    ms.sort_by(f64::total_cmp);
+    let at = |q: usize| ms[(ms.len() - 1) * q / 4];
+    t.row(&[
+        "DurableKv::open, 2^16-record checkpoint".to_string(),
+        ms.len().to_string(),
+        format!("{:.1}", at(2)),
+        format!("{:.1}", at(3) - at(1)),
+    ]);
+    t.render()
+}
+
 /// Run `op(thread)` on `threads` threads at once, each timed as
 /// [`time_ops`] times one after a common start line, and return the
 /// ops/second summed over the threads.
@@ -640,7 +674,13 @@ pub fn run_experiment(id: &str, profile: &Profile) -> Option<String> {
         "e8" => e8_nesting_policies(profile),
         "e9" => e9_snapshot_scans(profile),
         "e10" => e10_contention_managers(profile),
-        "micro" => micro_single_thread(profile) + "\n" + &micro_read_scaling(profile),
+        "micro" => {
+            micro_single_thread(profile)
+                + "\n"
+                + &micro_read_scaling(profile)
+                + "\n"
+                + &micro_recovery(profile)
+        }
         "all" => {
             let mut all = String::new();
             for id in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "micro"] {

@@ -1,6 +1,16 @@
 //! On-disk framing: CRC32, length-prefixed redo entry frames, and the
 //! snapshot file layout.
 //!
+//! ## CRC-32
+//!
+//! CRC-32/IEEE (reflected polynomial `0xEDB8_8320`, pre- and
+//! post-inverted), computed **slicing-by-8**: eight 256-entry tables,
+//! built at compile time, fold eight input bytes per step with eight
+//! lookups instead of 64 shift-and-xor rounds (Kounavis & Berry, 2005).
+//! It computes the same function as the bit-at-a-time loop, which the
+//! tests keep as an oracle, so the on-disk format below is unchanged
+//! down to every checksum byte.
+//!
 //! ## Entry frame
 //!
 //! ```text
@@ -42,27 +52,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// Streaming CRC-32 step (state in, state out; pre/post-inversion is
-/// the caller's job — use [`crc32`] unless chaining slices).
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state ^= b as u32;
-        for _ in 0..8 {
-            let mask = (state & 1).wrapping_neg();
-            state = (state >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC state step for
+/// byte `b`, and `CRC_TABLES[k][b]` that step followed by `k` zero
+/// bytes, so one step folds bytes 0..8 of a chunk through tables 7..0.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut state = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            state = (state >> 1) ^ (CRC_POLY & (state & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = state;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Streaming CRC-32 step (state in, state out; pre/post-inversion is
+/// the caller's job — use [`crc32`] unless chaining slices). Eight
+/// bytes per table step, then the tail byte by byte.
+fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let low = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        state = t[7][(low & 0xFF) as usize]
+            ^ t[6][((low >> 8) & 0xFF) as usize]
+            ^ t[5][((low >> 16) & 0xFF) as usize]
+            ^ t[4][(low >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
     }
     state
 }
 
 /// CRC over an entry's protected region: `len`, `seq`, `wv`, payload.
+/// The three fields go through one 20-byte update, so the sliced loop
+/// takes two full steps over them rather than three short tails.
 fn entry_crc(len: u32, seq: u64, wv: u64, payload: &[u8]) -> u32 {
-    let mut state = 0xFFFF_FFFFu32;
-    state = crc32_update(state, &len.to_le_bytes());
-    state = crc32_update(state, &seq.to_le_bytes());
-    state = crc32_update(state, &wv.to_le_bytes());
-    state = crc32_update(state, payload);
-    state ^ 0xFFFF_FFFF
+    let mut fields = [0u8; 20];
+    fields[..4].copy_from_slice(&len.to_le_bytes());
+    fields[4..12].copy_from_slice(&seq.to_le_bytes());
+    fields[12..].copy_from_slice(&wv.to_le_bytes());
+    crc32_update(crc32_update(0xFFFF_FFFF, &fields), payload) ^ 0xFFFF_FFFF
 }
 
 /// Append one framed entry to `buf`.
@@ -122,14 +177,17 @@ pub fn decode_entry(bytes: &[u8], at: usize) -> Option<(Entry<'_>, usize)> {
 }
 
 /// Serialize a snapshot file: cut `w`, first live segment `start_seg`,
-/// and the full record set.
-pub fn encode_snapshot(w: u64, start_seg: u64, records: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(32 + records.len() * 24);
+/// and the full record set. The buffer is sized up front, so each value
+/// is copied once, straight into it.
+pub fn encode_snapshot<V: AsRef<[u8]>>(w: u64, start_seg: u64, records: &[(u64, V)]) -> Vec<u8> {
+    let body: usize = records.iter().map(|(_, value)| 12 + value.as_ref().len()).sum();
+    let mut buf = Vec::with_capacity(4 + 24 + body + 4);
     buf.extend_from_slice(&SNAP_MAGIC.to_le_bytes());
     buf.extend_from_slice(&w.to_le_bytes());
     buf.extend_from_slice(&start_seg.to_le_bytes());
     buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for (key, value) in records {
+        let value = value.as_ref();
         buf.extend_from_slice(&key.to_le_bytes());
         buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
         buf.extend_from_slice(value);
@@ -139,9 +197,9 @@ pub fn encode_snapshot(w: u64, start_seg: u64, records: &[(u64, Vec<u8>)]) -> Ve
     buf
 }
 
-/// A decoded snapshot file.
+/// A decoded snapshot file, borrowing its values from the file bytes.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct Snapshot {
+pub struct Snapshot<'a> {
     /// Checkpoint cut: redo entries stamped `wv <= w` are already
     /// reflected in `records` and are skipped at replay.
     pub w: u64,
@@ -150,13 +208,13 @@ pub struct Snapshot {
     /// ignored.
     pub start_seg: u64,
     /// The record set at the cut.
-    pub records: Vec<(u64, Vec<u8>)>,
+    pub records: Vec<(u64, &'a [u8])>,
 }
 
 /// Decode a snapshot file. `None` means structurally invalid (bad
 /// magic, truncated, CRC mismatch) — the caller decides whether that is
 /// "no snapshot" or corruption.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<Snapshot> {
+pub fn decode_snapshot(bytes: &[u8]) -> Option<Snapshot<'_>> {
     if bytes.len() < 4 + 8 + 8 + 8 + 4 {
         return None;
     }
@@ -177,7 +235,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<Snapshot> {
         let key = read_u64(body.get(at..at + 8)?);
         let vlen = read_u32(body.get(at + 8..at + 12)?) as usize;
         let value = body.get(at + 12..at + 12 + vlen)?;
-        records.push((key, value.to_vec()));
+        records.push((key, value));
         at += 12 + vlen;
     }
     if at != body.len() {
@@ -230,7 +288,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_and_corruption() {
-        let records = vec![(1u64, vec![1, 2, 3]), (u64::MAX, vec![]), (9, vec![0; 100])];
+        let records: Vec<(u64, &[u8])> = vec![(1, &[1, 2, 3]), (u64::MAX, &[]), (9, &[0; 100])];
         let bytes = encode_snapshot(55, 3, &records);
         let snap = decode_snapshot(&bytes).expect("roundtrip");
         assert_eq!(snap, Snapshot { w: 55, start_seg: 3, records });
@@ -240,5 +298,95 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[10] ^= 0x40;
         assert!(decode_snapshot(&flipped).is_none());
+    }
+
+    /// The bit-at-a-time CRC step the sliced one must equal.
+    fn crc32_update_bitwise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state ^= b as u32;
+            for _ in 0..8 {
+                let mask = (state & 1).wrapping_neg();
+                state = (state >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        state
+    }
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bitwise_oracle() {
+        // Every length up to 256 at every start offset within a word,
+        // from a non-trivial state, so each head/tail split is covered.
+        let buf = seeded_bytes(3, 256 + 8);
+        for start in 0..8 {
+            for len in 0..=256 {
+                let bytes = &buf[start..start + len];
+                for state in [0xFFFF_FFFF, 0x1234_5678] {
+                    assert_eq!(
+                        crc32_update(state, bytes),
+                        crc32_update_bitwise(state, bytes),
+                        "start {start} len {len}"
+                    );
+                }
+            }
+        }
+        for (seed, len) in [(5, 1000), (6, 4097), (7, 65_535), (8, 65_536)] {
+            let bytes = seeded_bytes(seed, len);
+            assert_eq!(crc32(&bytes), crc32_update_bitwise(0xFFFF_FFFF, &bytes) ^ 0xFFFF_FFFF);
+        }
+    }
+
+    #[test]
+    fn entry_crc_is_the_crc_of_the_concatenated_fields() {
+        for (len, payload) in [(0usize, 0u64), (3, 1), (8, 2), (13, 3), (300, 4)] {
+            let payload = seeded_bytes(payload, len);
+            let (seq, wv) = (0x0102_0304_0506_0708u64, u64::MAX - 9);
+            let mut all = (len as u32).to_le_bytes().to_vec();
+            all.extend_from_slice(&seq.to_le_bytes());
+            all.extend_from_slice(&wv.to_le_bytes());
+            all.extend_from_slice(&payload);
+            assert_eq!(entry_crc(len as u32, seq, wv, &payload), crc32(&all), "payload {len} B");
+        }
+    }
+
+    /// Frames written by the bit-at-a-time encoder, byte for byte: an
+    /// entry carrying a one-put redo payload, and a three-record
+    /// snapshot. They must decode to what was encoded, and encoding it
+    /// again must give the same bytes.
+    #[test]
+    fn golden_frames_decode_unchanged() {
+        const ENTRY: [u8; 44] = [
+            71, 79, 76, 80, 16, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 128, 97,
+            224, 160, 1, 5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 97, 98, 99,
+        ];
+        const PAYLOAD: &[u8] = b"\x01\x05\0\0\0\0\0\0\0\x03\0\0\0abc";
+        let (entry, end) = decode_entry(&ENTRY, 0).expect("golden entry decodes");
+        assert_eq!(entry, Entry { seq: 7, wv: 42, payload: PAYLOAD });
+        assert_eq!(end, ENTRY.len());
+        let mut again = Vec::new();
+        encode_entry(&mut again, 7, 42, PAYLOAD);
+        assert_eq!(again, ENTRY);
+
+        const SNAP: [u8; 88] = [
+            80, 78, 83, 80, 55, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 122, 101, 114, 111, 9, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 255, 16, 0, 0, 0, 171, 171, 171, 171, 171,
+            171, 171, 171, 171, 171, 171, 171, 171, 171, 171, 171, 127, 197, 113, 206,
+        ];
+        let records: Vec<(u64, &[u8])> = vec![(0, b"zero"), (9, b""), (u64::MAX, &[0xAB; 16])];
+        let snap = decode_snapshot(&SNAP).expect("golden snapshot decodes");
+        assert_eq!(snap, Snapshot { w: 55, start_seg: 3, records: records.clone() });
+        assert_eq!(encode_snapshot(55, 3, &records), SNAP);
     }
 }

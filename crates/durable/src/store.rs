@@ -17,17 +17,20 @@
 //! ## Recovery
 //!
 //! `open` loads `snap.bin` (atomic-renamed checkpoint: record set at
-//! cut `W`, first live segment), then replays live segments in order,
+//! cut `W`, first live segment), then reads live segments in order,
 //! taking the longest CRC-valid, strictly-seq-monotone prefix and
-//! applying every entry with `wv > W`. Torn bytes can only exist at the
-//! tail of the highest-numbered segment (rotation happens at synced
-//! flush boundaries), and post-recovery appends always start a *fresh*
-//! segment — the log never appends after garbage, so "stop at the first
-//! invalid frame, continue with the next segment" is exactly the
-//! committed-prefix rule. Before admitting transactions the commit
-//! clock is caught up to `max(W, highest replayed wv)`: the `wv > W`
-//! replay filter is only sound if every post-recovery commit is stamped
-//! above every persisted one.
+//! folding every entry with `wv > W` into the checkpoint's record set
+//! (a put inserts, a delete removes, in log order). The store is then
+//! built from the folded set ([`KvStore::with_records`]): recovery
+//! runs no transaction, so it commits nothing and re-logs nothing.
+//! Torn bytes can only exist at the tail of the highest-numbered
+//! segment (rotation happens at synced flush boundaries), and
+//! post-recovery appends always start a *fresh* segment — the log never
+//! appends after garbage, so "stop at the first invalid frame, continue
+//! with the next segment" is exactly the committed-prefix rule. Before
+//! admitting transactions the commit clock is caught up to `max(W,
+//! highest replayed wv)`: the `wv > W` replay filter is only sound if
+//! every post-recovery commit is stamped above every persisted one.
 //!
 //! ## Checkpoint
 //!
@@ -41,6 +44,7 @@
 //! they carry `wv <= W` and replay skips them — re-application is never
 //! needed, idempotence never relied on.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,13 +102,13 @@ pub enum Staged {
     Ticket(u64),
 }
 
-/// One decoded redo operation.
-enum RedoOp {
-    Put(u64, Vec<u8>),
+/// One decoded redo operation, borrowing its value from the log bytes.
+enum RedoOp<'a> {
+    Put(u64, &'a [u8]),
     Delete(u64),
 }
 
-fn decode_redo(payload: &[u8]) -> Option<Vec<RedoOp>> {
+fn decode_redo(payload: &[u8]) -> Option<Vec<RedoOp<'_>>> {
     let mut ops = Vec::new();
     let mut at = 0usize;
     while at < payload.len() {
@@ -114,8 +118,7 @@ fn decode_redo(payload: &[u8]) -> Option<Vec<RedoOp>> {
         match tag {
             REDO_PUT => {
                 let vlen = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
-                let value = payload.get(at + 4..at + 4 + vlen)?;
-                ops.push(RedoOp::Put(key, value.to_vec()));
+                ops.push(RedoOp::Put(key, payload.get(at + 4..at + 4 + vlen)?));
                 at += 4 + vlen;
             }
             REDO_DELETE => ops.push(RedoOp::Delete(key)),
@@ -202,15 +205,18 @@ impl DurableKv {
     /// is *not* an error: it is the expected shape of a crash and is
     /// simply not replayed.
     pub fn open(storage: Arc<dyn Storage>, config: DurableKvConfig) -> io::Result<Self> {
-        // 1. Checkpoint, if any.
-        let snap = if storage.exists(SNAP_NAME)? {
-            decode_snapshot(&storage.read(SNAP_NAME)?).ok_or_else(|| {
+        // 1. Checkpoint, if any: its record set starts the fold.
+        let snap_bytes =
+            if storage.exists(SNAP_NAME)? { Some(storage.read(SNAP_NAME)?) } else { None };
+        let snap = match &snap_bytes {
+            Some(bytes) => decode_snapshot(bytes).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "corrupt checkpoint snap.bin")
-            })?
-        } else {
-            Snapshot::default()
+            })?,
+            None => Snapshot::default(),
         };
         let _ = storage.remove(SNAP_TMP);
+        let mut records: BTreeMap<u64, Value> =
+            snap.records.iter().map(|&(key, value)| (key, Value::from_bytes(value))).collect();
 
         // 2. Segment inventory: live segments replay; stragglers below
         // the snapshot's first live segment are a crashed truncation's
@@ -232,10 +238,11 @@ impl DurableKv {
         // 3. Longest valid prefix: stop a segment at its first invalid
         // frame or seq regression, keep going with the next segment
         // (garbage only ever sits where a crash cut a tail; later
-        // segments were opened by a recovered incarnation).
+        // segments were opened by a recovered incarnation). Each entry
+        // with `wv > W` folds into the record set in log order: a put
+        // inserts, a delete removes.
         let mut last_seq = 0u64;
         let mut max_wv = snap.w;
-        let mut replay = Vec::new();
         'segments: for n in &live {
             let bytes = storage.read(&crate::wal::segment_name(*n))?;
             let mut at = 0usize;
@@ -246,21 +253,29 @@ impl DurableKv {
                 last_seq = entry.seq;
                 max_wv = max_wv.max(entry.wv);
                 if entry.wv > snap.w {
-                    match decode_redo(entry.payload) {
-                        Some(ops) => replay.push(ops),
-                        // CRC-valid but unparseable: not a torn tail,
-                        // a version/codec mismatch — stop here rather
-                        // than guess.
-                        None => break 'segments,
+                    // CRC-valid but unparseable: not a torn tail, a
+                    // version/codec mismatch — stop here rather than
+                    // guess.
+                    let Some(ops) = decode_redo(entry.payload) else {
+                        break 'segments;
+                    };
+                    for op in ops {
+                        match op {
+                            RedoOp::Put(key, value) => {
+                                records.insert(key, Value::from_bytes(value));
+                            }
+                            RedoOp::Delete(key) => {
+                                records.remove(&key);
+                            }
+                        }
                     }
                 }
                 at = next;
             }
         }
 
-        // 4. Build the log and the store, then load the state. Replay
-        // goes through plain store operations: they stage no redo, so
-        // nothing is re-logged.
+        // 4. Build the log, then the store straight from the folded
+        // record set: no transaction runs, so nothing is re-logged.
         let next_segment = max_seen.map_or(snap.start_seg, |m| (m + 1).max(snap.start_seg));
         let wal = Arc::new(Wal::new(storage.clone(), config.wal, last_seq + 1, next_segment));
         let stm = Arc::new(Stm::with_redo_sink(StmConfig::default(), wal.clone()));
@@ -271,22 +286,7 @@ impl DurableKv {
         // acknowledged-durable loss one restart later.
         stm.catch_up_clock(max_wv);
         wal.attach_stm(&stm);
-        let store = KvStore::with_config(stm, config.kv);
-        let loaded: Vec<(u64, Value)> =
-            snap.records.iter().map(|(key, value)| (*key, Value::from_bytes(value))).collect();
-        store.multi_put(&loaded);
-        for ops in replay {
-            for op in ops {
-                match op {
-                    RedoOp::Put(key, value) => {
-                        store.put(key, Value::from_bytes(&value));
-                    }
-                    RedoOp::Delete(key) => {
-                        store.delete(key);
-                    }
-                }
-            }
-        }
+        let store = KvStore::with_records(stm, config.kv, records);
 
         // 5. Async mode gets a background flusher.
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -521,10 +521,8 @@ impl DurableKv {
             }
             Ok((w, records))
         });
-        let raw: Vec<(u64, Vec<u8>)> =
-            records.iter().map(|(key, value)| (*key, value.as_bytes().to_vec())).collect();
         let start_seg = old_last + 1;
-        let bytes = encode_snapshot(w, start_seg, &raw);
+        let bytes = encode_snapshot(w, start_seg, &records);
         self.storage.remove(SNAP_TMP)?;
         self.storage.append(SNAP_TMP, &bytes)?;
         self.storage.sync(SNAP_TMP)?;

@@ -361,3 +361,121 @@ fn real_fs_recovery_roundtrip() {
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Recovery builds the store from the folded record set: opening a
+/// checkpoint plus a log runs no transaction, and the first commit
+/// after it still lands above every persisted stamp.
+#[test]
+fn recovery_commits_nothing() {
+    let fs = Arc::new(FaultFs::new(808));
+    let store = DurableKv::open(fs.clone(), small_config(Durability::Sync)).unwrap();
+    for k in 0..200u64 {
+        store.put(k, Value::from_u64(k)).unwrap();
+    }
+    store.checkpoint().unwrap();
+    for k in 0..20u64 {
+        store.put(k * 3, Value::from_u64(k + 1000)).unwrap();
+        store.delete(k * 5 + 1).unwrap();
+    }
+    let before = dump(&store);
+    drop(store);
+    fs.crash();
+    let recovered = DurableKv::open(fs, small_config(Durability::Sync)).unwrap();
+    assert_eq!(recovered.stm().stats().commits, 0, "recovery committed a transaction");
+    assert_eq!(dump(&recovered), before);
+    let (_, info, _) = recovered.txn_logged(|tx| tx.put(7, Value::from_u64(7))).unwrap();
+    assert!(info.seq.is_some());
+}
+
+/// One redo payload: `Some(value)` puts, `None` deletes.
+fn redo_payload(ops: &[(u64, Option<Vec<u8>>)]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for (key, value) in ops {
+        match value {
+            Some(bytes) => {
+                payload.push(1);
+                payload.extend_from_slice(&key.to_le_bytes());
+                payload.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                payload.extend_from_slice(bytes);
+            }
+            None => {
+                payload.push(2);
+                payload.extend_from_slice(&key.to_le_bytes());
+            }
+        }
+    }
+    payload
+}
+
+/// Seeded device images written frame by frame — a checkpoint at cut
+/// `W`, then two segments of one- to four-op entries (deletes of
+/// checkpointed keys, re-puts, entries stamped `wv <= W`) ending in a
+/// torn frame — recover to exactly a `BTreeMap` replay of the snapshot
+/// and the valid entries above the cut, without committing anything.
+#[test]
+fn recovery_equals_a_model_replay_of_seeded_logs() {
+    use polytm_durable::frame::{encode_entry, encode_snapshot};
+    use std::collections::BTreeMap;
+
+    const W: u64 = 1_000;
+    const START_SEG: u64 = 4;
+    for seed in 1..=24u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let fs = Arc::new(FaultFs::new(seed));
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for _ in 0..next() % 120 {
+            let key = next() % 256;
+            model.insert(key, next().to_le_bytes().repeat(1 + (key % 4) as usize));
+        }
+        let snap: Vec<(u64, Vec<u8>)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+        fs.append(SNAP_NAME, &encode_snapshot(W, START_SEG, &snap)).unwrap();
+        fs.sync(SNAP_NAME).unwrap();
+
+        let entries = 20 + next() % 60;
+        let mut seq = 0u64;
+        let mut segment = Vec::new();
+        for i in 0..entries {
+            let ops: Vec<(u64, Option<Vec<u8>>)> = (0..1 + next() % 4)
+                .map(|_| {
+                    let key = next() % 300;
+                    let value = (next() % 3 != 0)
+                        .then(|| next().to_le_bytes()[..1 + (key % 8) as usize].to_vec());
+                    (key, value)
+                })
+                .collect();
+            let wv = if next() % 5 == 0 { W - next() % 10 } else { W + 1 + next() % 500 };
+            seq += 1 + next() % 2;
+            if wv > W {
+                for (key, value) in &ops {
+                    match value {
+                        Some(bytes) => model.insert(*key, bytes.clone()),
+                        None => model.remove(key),
+                    };
+                }
+            }
+            encode_entry(&mut segment, seq, wv, &redo_payload(&ops));
+            if i == entries / 2 {
+                fs.append(&segment_name(START_SEG), &segment).unwrap();
+                fs.sync(&segment_name(START_SEG)).unwrap();
+                segment.clear();
+            }
+        }
+        // A torn last frame: every byte but its final one.
+        let mut torn = Vec::new();
+        encode_entry(&mut torn, seq + 1, W + 9_999, &redo_payload(&[(5, Some(vec![9; 20]))]));
+        segment.extend_from_slice(&torn[..torn.len() - 1]);
+        fs.append(&segment_name(START_SEG + 1), &segment).unwrap();
+        fs.sync(&segment_name(START_SEG + 1)).unwrap();
+
+        let recovered = DurableKv::open(fs, small_config(Durability::Sync)).unwrap();
+        assert_eq!(recovered.stm().stats().commits, 0, "seed {seed}: recovery committed");
+        let want: Vec<(u64, Vec<u8>)> = model.into_iter().collect();
+        assert_eq!(dump(&recovered), want, "seed {seed}");
+    }
+}

@@ -16,6 +16,14 @@
 //! a running transaction; a put that leaves 8 entries (`MAX_BUCKET`) asks
 //! for the shard to double after it commits (`resize_shard`).
 //!
+//! A store can also start full: [`KvStore::with_records`] (crash
+//! recovery's path) builds each shard's table directly, before the
+//! store is shared, at the length those doublings would settle at — the
+//! smallest power of two from `initial_slots` up at which no bucket
+//! holds `MAX_BUCKET` records, or the first at which the long bucket's
+//! keys cannot be separated. It runs no transaction, requests no
+//! growth and leaves no retired table behind.
+//!
 //! The conflict granule is the bucket: overwrites of different keys
 //! that share one conflict, and every write conflicts with a concurrent
 //! doubling of its shard. At about one record per bucket both are rare;
@@ -72,6 +80,7 @@
 //! walk's, a table doubled mid-scan included: the scan reads the
 //! tables and buckets its cut saw, never the doubled ones.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -241,6 +250,12 @@ pub struct KvStore {
     params: KvParams,
 }
 
+/// The shard of `shards` (a power of two) that `key` lives in.
+#[inline]
+fn shard_index(key: u64, shards: usize) -> usize {
+    (mix(key) as usize) & (shards - 1)
+}
+
 fn mix(key: u64) -> u64 {
     let mut h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= h >> 32;
@@ -265,31 +280,32 @@ impl KvStore {
     /// read lets a write land in a retired bucket; writers must request
     /// [`Semantics::Opaque`] or [`Semantics::Irrevocable`]).
     pub fn with_config(stm: Arc<Stm>, config: KvConfig) -> Self {
-        assert!(
-            config.shards.is_power_of_two() && config.shards <= 128,
-            "shards must be a power of two in 1..=128, got {}",
-            config.shards
-        );
-        assert!(
-            config.initial_slots.is_power_of_two() && config.initial_slots >= 8,
-            "initial_slots must be a power of two >= 8, got {}",
-            config.initial_slots
-        );
-        for (label, params) in [
-            ("update", config.params.update),
-            ("rmw", config.params.rmw),
-            ("txn", config.params.txn),
-        ] {
-            assert!(
-                matches!(params.semantics, Semantics::Opaque | Semantics::Irrevocable),
-                "{label} params must request opaque or irrevocable semantics \
-                 (got {:?}): bucket writes are only sound when the table read \
-                 they were indexed through is validated",
-                params.semantics
-            );
-        }
+        check_config(&config);
         let shards = (0..config.shards)
             .map(|_| CachePadded::new(stm.new_tvar(fresh_table(&stm, config.initial_slots))))
+            .collect();
+        Self { stm, shards, params: config.params }
+    }
+
+    /// A store holding `records`, built without a transaction. Each
+    /// shard's table is built at its final length (module docs,
+    /// "Layout") and filled before any other thread can see the store,
+    /// so nothing commits, no doubling is requested and no replaced
+    /// table is left for reclamation.
+    ///
+    /// # Panics
+    /// As [`KvStore::with_config`].
+    pub fn with_records(stm: Arc<Stm>, config: KvConfig, records: BTreeMap<u64, Value>) -> Self {
+        check_config(&config);
+        let mut per_shard: Vec<Vec<(u64, Value)>> = vec![Vec::new(); config.shards];
+        for (key, value) in records {
+            per_shard[shard_index(key, config.shards)].push((key, value));
+        }
+        let shards = per_shard
+            .into_iter()
+            .map(|records| {
+                CachePadded::new(stm.new_tvar(sized_table(&stm, config.initial_slots, records)))
+            })
             .collect();
         Self { stm, shards, params: config.params }
     }
@@ -319,7 +335,7 @@ impl KvStore {
 
     #[inline]
     fn shard_of(&self, key: u64) -> usize {
-        (mix(key) as usize) & (self.shards.len() - 1)
+        shard_index(key, self.shards.len())
     }
 
     #[inline]
@@ -788,8 +804,8 @@ impl KvStore {
                 halves[i] = low;
                 halves[i + len] = high;
             }
-            if records * 4 < len {
-                return Ok(()); // inseparable keys: accept the long bucket
+            if inseparable(records, len) {
+                return Ok(()); // accept the long bucket
             }
             let buckets = halves.into_iter().map(|b| self.stm.new_tvar(b)).collect();
             self.shards[si].write(tx, Table { buckets })
@@ -797,8 +813,77 @@ impl KvStore {
     }
 }
 
+/// The constructors' argument checks (see [`KvStore::with_config`]).
+fn check_config(config: &KvConfig) {
+    assert!(
+        config.shards.is_power_of_two() && config.shards <= 128,
+        "shards must be a power of two in 1..=128, got {}",
+        config.shards
+    );
+    assert!(
+        config.initial_slots.is_power_of_two() && config.initial_slots >= 8,
+        "initial_slots must be a power of two >= 8, got {}",
+        config.initial_slots
+    );
+    for (label, params) in
+        [("update", config.params.update), ("rmw", config.params.rmw), ("txn", config.params.txn)]
+    {
+        assert!(
+            matches!(params.semantics, Semantics::Opaque | Semantics::Irrevocable),
+            "{label} params must request opaque or irrevocable semantics \
+             (got {:?}): bucket writes are only sound when the table read \
+             they were indexed through is validated",
+            params.semantics
+        );
+    }
+}
+
 fn fresh_table(stm: &Stm, buckets: usize) -> Table {
     Table { buckets: (0..buckets).map(|_| stm.new_tvar(None)).collect() }
+}
+
+/// Whether a long bucket in a `len`-register table holding `records`
+/// records is beyond doubling's reach: below one record per four
+/// registers, a bucket can only be long because its keys agree on every
+/// hash bit a table indexes by, and no doubling separates those. Growth
+/// stops there rather than doubling without bound.
+fn inseparable(records: usize, len: usize) -> bool {
+    records * 4 < len
+}
+
+/// A table holding one shard's `records` (distinct keys) at the length
+/// doublings from `initial` settle at: the smallest power of two at
+/// which no bucket holds `MAX_BUCKET` records, or the first at which
+/// the keys are [`inseparable`]. Below `records / (MAX_BUCKET - 1)`
+/// registers some bucket is long by pigeonhole, so the search starts
+/// there.
+fn sized_table(stm: &Stm, initial: usize, records: Vec<(u64, Value)>) -> Table {
+    let floor = records.len().div_ceil(MAX_BUCKET - 1).next_power_of_two();
+    let mut len = initial.max(floor);
+    let index = |key: u64, len: usize| KvStore::slot_start(key) & (len - 1);
+    let mut counts = Vec::new();
+    loop {
+        counts.clear();
+        counts.resize(len, 0usize);
+        for (key, _) in &records {
+            counts[index(*key, len)] += 1;
+        }
+        let long = counts.iter().any(|&n| n >= MAX_BUCKET);
+        if !long || inseparable(records.len(), len) {
+            break;
+        }
+        len *= 2;
+    }
+    let mut buckets: Vec<Vec<(u64, Value)>> =
+        counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for record in records {
+        buckets[index(record.0, len)].push(record);
+    }
+    let buckets = buckets
+        .into_iter()
+        .map(|bucket| stm.new_tvar((!bucket.is_empty()).then(|| bucket.into())))
+        .collect();
+    Table { buckets }
 }
 
 /// The records of a bucket (none for the empty bucket).
@@ -1235,5 +1320,161 @@ mod tests {
         );
         store.put(1, Value::from_u64(1));
         assert!(store.contains(1));
+    }
+
+    /// Every shard's buckets, as `(key, value)` arrays, by a snapshot
+    /// read of the committed tables.
+    fn committed_tables(store: &KvStore) -> Vec<Vec<Vec<(u64, Value)>>> {
+        store.stm().run(TxParams::new(Semantics::Snapshot), |tx| {
+            let mut tables = Vec::new();
+            for shard in store.shards.iter() {
+                let mut buckets = Vec::new();
+                for register in shard.read(tx)?.buckets.iter() {
+                    buckets.push(entries(&register.read(tx)?).to_vec());
+                }
+                tables.push(buckets);
+            }
+            Ok(tables)
+        })
+    }
+
+    /// The longest bucket `keys` make in a `len`-register table.
+    fn longest_bucket(keys: &[u64], len: usize) -> usize {
+        let mut counts = vec![0; len];
+        for key in keys {
+            counts[KvStore::slot_start(*key) & (len - 1)] += 1;
+        }
+        counts.into_iter().max().unwrap_or(0)
+    }
+
+    /// The layout [`KvStore::with_records`] promises, per shard, from
+    /// its definition: a power of two from `initial` up, every record
+    /// in the bucket its hash indexes, no bucket at `MAX_BUCKET` unless
+    /// the keys are inseparable at that length, and at half the length
+    /// (when that is still `initial` or more) a long bucket that a
+    /// doubling would have split.
+    fn assert_built_layout(store: &KvStore, initial: usize, model: &BTreeMap<u64, Value>) {
+        let shards = store.shard_count();
+        for (si, table) in committed_tables(store).iter().enumerate() {
+            let keys: Vec<u64> =
+                model.keys().copied().filter(|&k| shard_index(k, shards) == si).collect();
+            let len = table.len();
+            assert!(len.is_power_of_two() && len >= initial, "shard {si}: {len} registers");
+            for (at, bucket) in table.iter().enumerate() {
+                for (key, value) in bucket {
+                    assert_eq!(KvStore::slot_start(*key) & (len - 1), at, "key {key} misplaced");
+                    assert_eq!(model.get(key), Some(value), "key {key}");
+                }
+            }
+            assert_eq!(table.iter().map(Vec::len).sum::<usize>(), keys.len(), "shard {si}");
+            let longest = longest_bucket(&keys, len);
+            assert!(longest < MAX_BUCKET || inseparable(keys.len(), len), "shard {si} too short");
+            if len > initial {
+                let half = len / 2;
+                assert!(
+                    longest_bucket(&keys, half) >= MAX_BUCKET && !inseparable(keys.len(), half),
+                    "shard {si}: {half} registers would have held {} keys",
+                    keys.len()
+                );
+            }
+        }
+    }
+
+    fn seeded_model(seed: u64, n: usize) -> BTreeMap<u64, Value> {
+        let mut x = seed | 1;
+        let mut model: BTreeMap<u64, Value> = (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Half the keys dense (narrow scans find them), half anywhere.
+                let key = if i % 2 == 0 { x % (4 * n as u64) } else { x };
+                (key, Value::from_bytes(&x.to_le_bytes().repeat(1 + (x % 3) as usize)))
+            })
+            .collect();
+        if n > 0 {
+            model.insert(0, Value::from_u64(7));
+            model.insert(u64::MAX, Value::from_bytes(&[0xEE; 40]));
+        }
+        model
+    }
+
+    #[test]
+    fn with_records_agrees_with_a_model() {
+        for shards in [1, 128] {
+            for initial in [8, 64] {
+                for params in [KvParams::fixed(), KvParams::classed(0)] {
+                    for n in [0, 1, 100, 3000] {
+                        let model = seeded_model(n as u64 + 11, n);
+                        let config = KvConfig { shards, initial_slots: initial, params };
+                        let store =
+                            KvStore::with_records(Arc::new(Stm::new()), config, model.clone());
+                        let stats = store.stm().stats();
+                        assert_eq!(stats.commits, 0, "building commits nothing");
+                        assert_eq!(stats.aborts(), 0);
+                        let case = format!("{shards} shards, {initial} slots, {n} records");
+                        assert_built_layout(&store, initial, &model);
+                        let tables = committed_tables(&store);
+                        assert_eq!(store.capacity(), tables.iter().map(Vec::len).sum(), "{case}");
+                        for (key, value) in &model {
+                            assert_eq!(store.get(*key).as_ref(), Some(value), "{case}: key {key}");
+                        }
+                        for absent in [1u64, 2, 3, u64::MAX - 1] {
+                            assert_eq!(store.get(absent), model.get(&absent).cloned(), "{case}");
+                        }
+                        let all: Vec<_> =
+                            model.range(..u64::MAX).map(|(k, v)| (*k, v.clone())).collect();
+                        assert_eq!(store.scan_range(0, u64::MAX), all, "{case}");
+                        for (lo, hi) in [(0, 50), (10, 400), (1 << 40, 1 << 63)] {
+                            let want: Vec<_> =
+                                model.range(lo..hi).map(|(k, v)| (*k, v.clone())).collect();
+                            assert_eq!(store.scan_range(lo, hi), want, "{case}: [{lo}, {hi})");
+                        }
+                        assert_eq!(store.len(), model.len(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Keys that agree on every hash bit share one bucket at any table
+    /// length: the build stops doubling where `resize_shard` would and
+    /// accepts the long bucket.
+    #[test]
+    fn with_records_accepts_a_long_bucket_of_inseparable_keys() {
+        let mut model: BTreeMap<u64, Value> = (0..1_000u64).map(|k| (k, k.into())).collect();
+        let colliding: Vec<u64> = (0..64u64).map(|j| unmix((0xC0FFEE << 16) | (j << 7))).collect();
+        for (j, key) in colliding.iter().enumerate() {
+            model.insert(*key, Value::from_u64(j as u64));
+        }
+        let config = KvConfig { shards: 4, initial_slots: 8, params: KvParams::fixed() };
+        let store = KvStore::with_records(Arc::new(Stm::new()), config, model.clone());
+        assert_eq!(store.stm().stats().commits, 0, "building commits nothing");
+        assert_built_layout(&store, 8, &model);
+        let tables = committed_tables(&store);
+        let shared = tables.iter().flatten().find(|b| b.iter().any(|(k, _)| *k == colliding[0]));
+        let shared: Vec<u64> = shared.expect("placed").iter().map(|(k, _)| *k).collect();
+        assert!(colliding.iter().all(|k| shared.contains(k)), "the colliding keys share a bucket");
+        for (key, value) in &model {
+            assert_eq!(store.get(*key).as_ref(), Some(value));
+        }
+        assert_eq!(store.len(), model.len());
+    }
+
+    #[test]
+    fn puts_after_the_build_still_double_a_shard() {
+        let model: BTreeMap<u64, Value> = (0..40u64).map(|k| (k, k.into())).collect();
+        let config = KvConfig { shards: 1, initial_slots: 8, params: KvParams::fixed() };
+        let store = KvStore::with_records(Arc::new(Stm::new()), config, model);
+        let built = store.capacity();
+        for k in 40..2_000u64 {
+            assert_eq!(store.put(k, k.into()), None);
+        }
+        let grown = store.capacity();
+        assert!(grown >= 2 * built, "{built} -> {grown} registers");
+        assert!(grown >= 2_000 / MAX_BUCKET, "buckets longer than the trigger: {grown}");
+        for k in 0..2_000u64 {
+            assert_eq!(store.get(k), Some(k.into()), "key {k}");
+        }
     }
 }

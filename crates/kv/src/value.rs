@@ -116,6 +116,12 @@ impl fmt::Debug for Value {
     }
 }
 
+impl AsRef<[u8]> for Value {
+    fn as_ref(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
 impl From<&[u8]> for Value {
     fn from(bytes: &[u8]) -> Self {
         Self::from_bytes(bytes)
