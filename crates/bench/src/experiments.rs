@@ -547,10 +547,11 @@ pub fn micro_single_thread(profile: &Profile) -> String {
 
 /// Micro — crash recovery: `DurableKv::open` of an in-memory device
 /// holding a checkpoint of 2^16 records of 64 bytes and an empty log,
-/// opened at least five times (and for at least the profile's window):
-/// the median and interquartile range of the opens.
+/// opened at least five times (and for at least the profile's window),
+/// and the drop of each opened store, which frees its tables and every
+/// record: the median and interquartile range of each.
 pub fn micro_recovery(profile: &Profile) -> String {
-    let mut t = Table::new("micro: recovery", &["open", "opens", "median ms", "IQR ms"]);
+    let mut t = Table::new("micro: recovery", &["operation", "runs", "median ms", "IQR ms"]);
     let device = Arc::new(FaultFs::new(1));
     let store = DurableKv::open(device.clone(), DurableKvConfig::default()).expect("empty device");
     let records: Vec<(u64, Value)> =
@@ -558,23 +559,31 @@ pub fn micro_recovery(profile: &Profile) -> String {
     store.multi_put(&records).expect("the in-memory device does not fail");
     store.checkpoint().expect("the in-memory device does not fail");
     drop(store);
-    let mut ms = Vec::new();
+    let (mut open_ms, mut drop_ms) = (Vec::new(), Vec::new());
     let start = Instant::now();
-    while ms.len() < 5 || start.elapsed() < profile.duration {
+    while open_ms.len() < 5 || start.elapsed() < profile.duration {
         let open = Instant::now();
         let store =
             DurableKv::open(device.clone(), DurableKvConfig::default()).expect("checkpointed");
-        ms.push(open.elapsed().as_secs_f64() * 1e3);
+        open_ms.push(open.elapsed().as_secs_f64() * 1e3);
         assert_eq!(store.len(), records.len(), "recovery lost records");
+        let dropped = Instant::now();
+        drop(store);
+        drop_ms.push(dropped.elapsed().as_secs_f64() * 1e3);
     }
-    ms.sort_by(f64::total_cmp);
-    let at = |q: usize| ms[(ms.len() - 1) * q / 4];
-    t.row(&[
-        "DurableKv::open, 2^16-record checkpoint".to_string(),
-        ms.len().to_string(),
-        format!("{:.1}", at(2)),
-        format!("{:.1}", at(3) - at(1)),
-    ]);
+    for (operation, ms) in [
+        ("DurableKv::open, 2^16-record checkpoint", &mut open_ms),
+        ("drop of the opened 2^16-record store", &mut drop_ms),
+    ] {
+        ms.sort_by(f64::total_cmp);
+        let at = |q: usize| ms[(ms.len() - 1) * q / 4];
+        t.row(&[
+            operation.to_string(),
+            ms.len().to_string(),
+            format!("{:.1}", at(2)),
+            format!("{:.1}", at(3) - at(1)),
+        ]);
+    }
     t.render()
 }
 

@@ -26,7 +26,8 @@
 //!   global revocation gate), useful for transactions with side effects
 //!   and as the liveness fallback after repeated aborts.
 //!
-//! Shared data lives in [`TVar`]s. Values are published as immutable,
+//! Shared data lives in registers ([`TCell`]s), each owned by a [`TVar`]
+//! or, many at once, by a [`TVarArray`]. Values are published as immutable,
 //! epoch-reclaimed version nodes, so readers never observe torn values and
 //! the implementation contains no data races (see `DESIGN.md` at the
 //! repository root for the memory-safety argument).
@@ -98,7 +99,7 @@ pub use shard::current_thread_index;
 pub use stats::{StatsSnapshot, StmStats};
 pub use stm::{Stm, StmConfig, TxParams};
 pub use trace::{TraceEvent, TraceSink};
-pub use tvar::{PeekGuard, TVar, TxValue};
+pub use tvar::{PeekGuard, TCell, TVar, TVarArray, TxValue};
 pub use txdesc::INLINE_WRITE_WORDS;
 pub use txn::Transaction;
 

@@ -4,7 +4,7 @@
 //! top-level snapshot transaction registers its read bound in a slot
 //! here, and committers compute a **watermark** — the oldest registered
 //! bound, clamped to their own write version — below which no live
-//! snapshot can ever read. [`crate::VarCore`]'s truncation keeps what a
+//! snapshot can ever read. [`crate::TCell`]'s truncation keeps what a
 //! bound at or above the watermark can still reach and nothing else —
 //! there is no fixed-depth floor — so with no snapshot registered a
 //! publish keeps the new head only.

@@ -16,7 +16,7 @@ use crate::semantics::{NestingPolicy, Semantics};
 use crate::snapreg::SnapshotRegistry;
 use crate::stats::{StatsSnapshot, StmStats};
 use crate::trace::{self, TraceEvent};
-use crate::tvar::{PeekGuard, TVar, TxValue};
+use crate::tvar::{PeekGuard, TVar, TVarArray, TxValue};
 use crate::txn::{CommitReceipt, Transaction};
 
 /// Tuning knobs of an [`Stm`] instance.
@@ -291,6 +291,15 @@ impl Stm {
     /// Create a [`TVar`] tagged to this instance.
     pub fn new_tvar<T: TxValue>(&self, value: T) -> TVar<T> {
         TVar::tagged(value, self.id)
+    }
+
+    /// Allocate registers holding `values`, in order, in one allocation
+    /// tagged to this instance (see [`TVarArray`]).
+    pub fn new_tvar_array<T: TxValue>(
+        &self,
+        values: impl IntoIterator<Item = T, IntoIter: ExactSizeIterator>,
+    ) -> TVarArray<T> {
+        TVarArray::tagged(values, self.id)
     }
 
     /// Run a transaction to commit — the paper's `start(p) … commit`.
@@ -648,7 +657,7 @@ impl Stm {
     }
 
     /// A read with no transaction: `read` loads registers with
-    /// [`TVar::peek_committed`] under one [`PeekGuard`], and its answer
+    /// [`crate::TCell::peek_committed`] under one [`PeekGuard`], and its answer
     /// is kept only if no irrevocable era was open at any point of the
     /// read — the era word is loaded before and after, as a read
     /// version is sampled at begin. `None` means "run the transaction
@@ -722,9 +731,9 @@ mod tests {
         let stm = Stm::new();
         let x = stm.new_tvar(1u64);
         assert_eq!(stm.read_direct(|g| x.peek_committed(g).copied()), Some(1));
-        x.core().try_lock(9).expect("free");
+        x.try_lock(9).expect("free");
         assert_eq!(stm.read_direct(|g| x.peek_committed(g).copied()), None);
-        x.core().unlock_restore(0);
+        x.unlock_restore(0);
         let s = stm.stats();
         assert_eq!((s.point_reads, s.commits, s.aborts()), (1, 0, 0));
     }

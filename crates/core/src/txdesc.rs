@@ -206,7 +206,7 @@ impl Drop for WritePayload {
 const SMALL_MAX: usize = 12;
 
 /// Open-addressing markers. Location addresses are pointers to
-/// `VarCore`s (aligned, heap-allocated), so 0 and 1 never collide with a
+/// `TCell`s (aligned, heap-allocated), so 0 and 1 never collide with a
 /// real key.
 const EMPTY: usize = 0;
 const TOMBSTONE: usize = 1;
@@ -379,15 +379,16 @@ impl AddrIndex {
 // TxDescriptor
 // ---------------------------------------------------------------------
 
-/// An uncounted pointer to a location's core, as the read and write sets
+/// An uncounted pointer to a location's cell, as the read and write sets
 /// hold it: recording an access writes nothing the location's other
 /// readers share.
 ///
 /// Valid while the attempt that recorded it is pinned. The attempt pins
 /// before its first access and holds the pin until it ends, and the
-/// descriptor is cleared when it ends; a core is freed only through the
-/// epoch, after its last handle is gone (tvar.rs), so no free can
-/// complete while the recording attempt is pinned.
+/// descriptor is cleared when it ends; a cell is freed only through the
+/// epoch, with the allocation that holds it, after that allocation's
+/// last handle is gone (tvar.rs), so no free can complete while the
+/// recording attempt is pinned.
 #[derive(Clone, Copy)]
 pub(crate) struct SlotRef(NonNull<dyn TxSlot>);
 
@@ -398,7 +399,7 @@ impl SlotRef {
         SlotRef(NonNull::from(slot))
     }
 
-    /// The location's core.
+    /// The location's cell.
     #[inline]
     pub(crate) fn get(&self) -> &dyn TxSlot {
         // SAFETY: see the type's docs — the recording attempt is still

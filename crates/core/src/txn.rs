@@ -24,7 +24,7 @@
 //! access, and holds that pin until it ends — arbitrated waits and the
 //! commit included. The pin is what lets the read and write sets point
 //! at locations without counting references, and a read return the
-//! committed value by reference ([`crate::TVar::read_in`]): a read
+//! committed value by reference ([`crate::TCell::read_in`]): a read
 //! writes nothing another reader of the location shares.
 
 use std::mem::ManuallyDrop;
@@ -40,7 +40,7 @@ use crate::tvar::TxValue;
 use crate::txdesc::{
     stash_descriptor, take_descriptor, ReadEntry, SlotRef, TxDescriptor, WriteEntry, WritePayload,
 };
-use crate::varcore::{TxSlot, VarCore, VersionNode};
+use crate::varcore::{TCell, TxSlot, VersionNode};
 
 /// Where [`Transaction::read_ref`] found the value it returns.
 pub(crate) enum ReadRef<'r, T> {
@@ -251,17 +251,14 @@ impl<'s> Transaction<'s> {
     // ------------------------------------------------------------------
 
     /// The one transactional read: the value this attempt reads from
-    /// `core`, by reference. [`crate::TVar::read`] clones it and
-    /// [`crate::TVar::read_in`] lends it out under a guard; both record
+    /// `core`, by reference. [`crate::TCell::read`] clones it and
+    /// [`crate::TCell::read_in`] lends it out under a guard; both record
     /// the read exactly as this does.
     pub(crate) fn read_ref<'r, T: TxValue>(
         &'r mut self,
-        core: &'r VarCore<T>,
+        core: &'r TCell<T>,
     ) -> TxResult<ReadRef<'r, T>> {
-        debug_assert!(
-            core.stm_id == 0 || core.stm_id == self.stm.id(),
-            "TVar used with an Stm instance other than the one that created it"
-        );
+        core.debug_check_stm(self.stm.id());
         let addr = core.address();
         // Read-own-write.
         if let Some(idx) = self.desc.write_index.get(addr) {
@@ -310,7 +307,7 @@ impl<'s> Transaction<'s> {
 
     fn read_snapshot<T: TxValue>(
         &mut self,
-        core: &VarCore<T>,
+        core: &TCell<T>,
         addr: usize,
     ) -> TxResult<*const VersionNode<T>> {
         let rv = self.rv;
@@ -348,7 +345,7 @@ impl<'s> Transaction<'s> {
 
     fn read_optimistic<T: TxValue>(
         &mut self,
-        core: &VarCore<T>,
+        core: &TCell<T>,
         addr: usize,
     ) -> TxResult<*const VersionNode<T>> {
         if let Some(idx) = self.desc.read_index.get(addr) {
@@ -394,7 +391,7 @@ impl<'s> Transaction<'s> {
     /// the node stays valid under the attempt's pin (see `read_ref`).
     fn wait_committed_head<T: TxValue>(
         &mut self,
-        core: &VarCore<T>,
+        core: &TCell<T>,
         addr: usize,
     ) -> TxResult<(*const VersionNode<T>, u64)> {
         let mut spins = 0u32;
@@ -522,11 +519,8 @@ impl<'s> Transaction<'s> {
     // Writes
     // ------------------------------------------------------------------
 
-    pub(crate) fn write_var<T: TxValue>(&mut self, core: &VarCore<T>, value: T) -> TxResult<()> {
-        debug_assert!(
-            core.stm_id == 0 || core.stm_id == self.stm.id(),
-            "TVar used with an Stm instance other than the one that created it"
-        );
+    pub(crate) fn write_var<T: TxValue>(&mut self, core: &TCell<T>, value: T) -> TxResult<()> {
+        core.debug_check_stm(self.stm.id());
         if self.semantics.is_read_only() {
             return Err(Abort::ReadOnlyViolation);
         }
@@ -966,7 +960,7 @@ mod tests {
     use super::*;
     use crate::cm::Suicide;
 
-    fn read(tx: &mut Transaction<'_>, core: &VarCore<i64>) -> TxResult<i64> {
+    fn read(tx: &mut Transaction<'_>, core: &TCell<i64>) -> TxResult<i64> {
         Ok(*tx.read_ref(core)?.get())
     }
 
@@ -989,7 +983,7 @@ mod tests {
     #[test]
     fn snapshot_read_of_future_committer_lock_is_wait_free() {
         let stm = Stm::new();
-        let core = VarCore::new(7i64, stm.id());
+        let core = TCell::new(7i64, stm.id());
         // Commit version 1, then advance the clock so a snapshot begun
         // now reads at rv = 2.
         core.try_lock(1).unwrap();
@@ -1011,7 +1005,7 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_in_the_sentinel_window() {
         let stm = Stm::new();
-        let core = VarCore::new(7i64, stm.id());
+        let core = TCell::new(7i64, stm.id());
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
@@ -1031,7 +1025,7 @@ mod tests {
     #[test]
     fn snapshot_read_arbitrates_when_committer_is_inside_its_cut() {
         let stm = Stm::new();
-        let core = VarCore::new(7i64, stm.id());
+        let core = TCell::new(7i64, stm.id());
         core.try_lock(1).unwrap();
         core.publish(7, stm.clock().advance());
         stm.clock().advance();
@@ -1052,7 +1046,7 @@ mod tests {
     #[test]
     fn chain_miss_classification_tracks_registration() {
         let stm = Stm::new();
-        let core = VarCore::new(0i64, stm.id());
+        let core = TCell::new(0i64, stm.id());
         // Three commits with no snapshot live: only the head survives,
         // so a bound below it misses.
         for _ in 0..3 {

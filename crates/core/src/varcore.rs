@@ -20,7 +20,7 @@
 //! 3. ABA-free unlocking: versions strictly increase.
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::tvar::TxValue;
 use crate::txdesc::WritePayload;
@@ -49,8 +49,18 @@ pub(crate) struct SlotProbe {
     pub version: u64,
 }
 
-/// The shared core behind a [`crate::TVar`].
-pub(crate) struct VarCore<T> {
+/// A transactional shared register — the paper's shared memory
+/// "partitioned into shared registers, supporting atomic reads/writes,
+/// and metadata used for synchronization": a versioned lock word, the
+/// lock owner, the announced write version and the head of the value's
+/// version chain. 32 bytes in release builds.
+///
+/// A cell is never owned on its own: it lives in a [`crate::TVar`] (one
+/// cell) or a [`crate::TVarArray`] (many, in one allocation), and is
+/// reached through one of those handles or through a value read under
+/// an epoch pin. It has no public constructor. Its methods — `read`,
+/// `write`, `read_in`, `peek`, … — are in `tvar.rs`.
+pub struct TCell<T> {
     lockword: AtomicU64,
     owner: AtomicU64,
     /// Write version the current lock holder will publish at, or 0 while
@@ -68,27 +78,40 @@ pub(crate) struct VarCore<T> {
     /// as the snapshot watermark passed to publish says a live bound can
     /// still reach them.
     head: Atomic<VersionNode<T>>,
-    /// Identifier of the [`crate::Stm`] this var is tagged to, or 0 for
-    /// untagged vars. Mixing vars across STM instances breaks version
-    /// ordering; the tag lets us catch it in debug builds.
-    pub(crate) stm_id: u64,
-    /// Live [`crate::TVar`] handles. The last one to drop hands the core
-    /// to the epoch reclaimer instead of freeing it (tvar.rs), so a read
-    /// set may point at a core for as long as its attempt stays pinned.
-    pub(crate) handles: AtomicUsize,
+    /// Identifier of the [`crate::Stm`] this cell is tagged to, or 0 for
+    /// untagged cells. Mixing cells across STM instances breaks version
+    /// ordering; the tag lets debug builds catch it, and release builds
+    /// do not carry it.
+    #[cfg(debug_assertions)]
+    stm_id: u64,
 }
 
-impl<T: TxValue> VarCore<T> {
+impl<T: TxValue> TCell<T> {
     pub(crate) fn new(value: T, stm_id: u64) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = stm_id;
         let node = Owned::new(VersionNode { version: 0, value, prev: Atomic::null() });
         Self {
             lockword: AtomicU64::new(0),
             owner: AtomicU64::new(0),
             pending_wv: AtomicU64::new(0),
             head: Atomic::from(node),
+            #[cfg(debug_assertions)]
             stm_id,
-            handles: AtomicUsize::new(1),
         }
+    }
+
+    /// Debug builds: panics when the cell is tagged to an STM other than
+    /// `stm_id`. Release builds check nothing.
+    #[inline]
+    pub(crate) fn debug_check_stm(&self, stm_id: u64) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.stm_id == 0 || self.stm_id == stm_id,
+            "TVar used with an Stm instance other than the one that created it"
+        );
+        #[cfg(not(debug_assertions))]
+        let _ = stm_id;
     }
 
     /// Write version announced by the current lock holder, or 0 while
@@ -142,10 +165,10 @@ impl<T: TxValue> VarCore<T> {
     }
 
     /// The latest committed value by reference, under the double-check
-    /// of [`VarCore::committed_head`]; `None` while the location is
+    /// of [`TCell::committed_head`]; `None` while the location is
     /// locked.
     #[inline]
-    pub(crate) fn peek_committed<'g>(&'g self, guard: &'g Guard) -> Option<&'g T> {
+    pub(crate) fn committed_value<'g>(&'g self, guard: &'g Guard) -> Option<&'g T> {
         self.committed_head(guard).ok().map(|node| &node.value)
     }
 
@@ -157,7 +180,7 @@ impl<T: TxValue> VarCore<T> {
     /// caller learns neither when the value was current nor whether it
     /// still is. The borrow of `self` is part of the result's lifetime
     /// because dropping the location frees its whole chain at once.
-    pub(crate) fn peek<'g>(&'g self, guard: &'g Guard) -> &'g T {
+    pub(crate) fn head_value<'g>(&'g self, guard: &'g Guard) -> &'g T {
         let head = self.head.load(Ordering::Acquire, guard);
         // SAFETY: as in `committed_head` — `head` was read under
         // `guard`, is never null, and while the location lives a node
@@ -191,14 +214,14 @@ impl<T: TxValue> VarCore<T> {
     /// with `new_version`, as if no snapshot were live (watermark
     /// `u64::MAX`: the new head is all that survives). Must be called
     /// while holding the lock. (Production paths publish through
-    /// [`VarCore::publish_with`] with a cached guard; this convenience
+    /// [`TCell::publish_with`] with a cached guard; this convenience
     /// wrapper serves the unit tests.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn publish(&self, value: T, new_version: u64) {
         self.publish_with(value, new_version, u64::MAX, &epoch::pin());
     }
 
-    /// [`VarCore::publish`] under a caller-supplied epoch guard, so a
+    /// [`TCell::publish`] under a caller-supplied epoch guard, so a
     /// commit publishing many locations pins once instead of per
     /// location. `watermark` is the oldest live snapshot bound: versions
     /// above it, plus the newest version at or below it, stay reachable;
@@ -266,10 +289,10 @@ impl<T: TxValue> VarCore<T> {
     }
 }
 
-impl<T> Drop for VarCore<T> {
+impl<T> Drop for TCell<T> {
     fn drop(&mut self) {
         // SAFETY: we have exclusive access (`&mut self` through drop): a
-        // core is dropped only by the epoch reclaimer, after the last
+        // cell is dropped only by the epoch reclaimer, after the last
         // handle and every pin that could reach it are gone (tvar.rs),
         // so the chain can be freed eagerly.
         // Exercised under ASan by `tests::snapshot_walks_history`, which
@@ -286,7 +309,7 @@ impl<T> Drop for VarCore<T> {
     }
 }
 
-/// Object-safe view of a `VarCore<T>` used by the transaction runtime for
+/// Object-safe view of a `TCell<T>` used by the transaction runtime for
 /// type-erased read/write sets.
 pub(crate) trait TxSlot: Send + Sync {
     /// Decode the current lock word.
@@ -320,7 +343,7 @@ pub(crate) trait TxSlot: Send + Sync {
     );
 }
 
-impl<T: TxValue> TxSlot for VarCore<T> {
+impl<T: TxValue> TxSlot for TCell<T> {
     fn probe(&self) -> SlotProbe {
         let w = self.lockword.load(Ordering::Acquire);
         let locked = w & LOCKED != 0;
@@ -390,11 +413,11 @@ mod tests {
     use super::*;
     use crossbeam_epoch as epoch;
 
-    fn snap(core: &VarCore<i64>, bound: u64, guard: &Guard) -> Option<(i64, u64)> {
+    fn snap(core: &TCell<i64>, bound: u64, guard: &Guard) -> Option<(i64, u64)> {
         core.snapshot_node(bound, guard).map(|node| (node.value, node.version))
     }
 
-    fn value_of(core: &VarCore<i64>) -> (i64, u64) {
+    fn value_of(core: &TCell<i64>) -> (i64, u64) {
         let guard = epoch::pin();
         let node = core.committed_head(&guard).expect("unexpected lock");
         (node.value, node.version)
@@ -402,13 +425,13 @@ mod tests {
 
     #[test]
     fn fresh_var_reads_initial_value_at_version_zero() {
-        let core = VarCore::new(42i64, 0);
+        let core = TCell::new(42i64, 0);
         assert_eq!(value_of(&core), (42, 0));
     }
 
     #[test]
     fn lock_publish_unlock_cycle() {
-        let core = VarCore::new(1i64, 0);
+        let core = TCell::new(1i64, 0);
         let prior = core.try_lock(7).expect("lock must succeed");
         assert_eq!(prior, 0);
         // Locked: probe reports owner, committed read reports lock.
@@ -425,18 +448,18 @@ mod tests {
 
     #[test]
     fn peek_committed_sees_the_head_and_refuses_a_locked_slot() {
-        let core = VarCore::new(1i64, 0);
+        let core = TCell::new(1i64, 0);
         let guard = epoch::pin();
-        assert_eq!(core.peek_committed(&guard), Some(&1));
+        assert_eq!(core.committed_value(&guard), Some(&1));
         core.try_lock(7).unwrap();
-        assert_eq!(core.peek_committed(&guard), None, "a locked slot is never peeked");
+        assert_eq!(core.committed_value(&guard), None, "a locked slot is never peeked");
         core.publish(2, 5);
-        assert_eq!(core.peek_committed(&guard), Some(&2));
+        assert_eq!(core.committed_value(&guard), Some(&2));
     }
 
     #[test]
     fn double_lock_fails_with_owner() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         core.try_lock(3).unwrap();
         assert_eq!(core.try_lock(9), Err(3));
         core.unlock_restore(0);
@@ -446,7 +469,7 @@ mod tests {
 
     #[test]
     fn unlock_restore_keeps_version() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         core.try_lock(1).unwrap();
         core.publish(10, 8);
         core.try_lock(2).unwrap();
@@ -456,7 +479,7 @@ mod tests {
 
     #[test]
     fn snapshot_walks_history() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         // A snapshot registered before every publish (watermark 0) keeps
         // the whole chain walkable.
@@ -473,7 +496,7 @@ mod tests {
 
     #[test]
     fn history_truncation_bounds_the_chain() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         // The oldest live bound trails the writer by 25 ticks: each
         // publish keeps the versions above it plus the one it resolves
@@ -493,7 +516,7 @@ mod tests {
 
     #[test]
     fn zero_history_keeps_only_head() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         // No snapshot live: every publish severs all it supersedes.
         core.try_lock(1).unwrap();
         core.publish(1, 10);
@@ -506,7 +529,7 @@ mod tests {
 
     #[test]
     fn publish_payload_downcasts() {
-        let core = VarCore::new(String::from("a"), 0);
+        let core = TCell::new(String::from("a"), 0);
         core.try_lock(1).unwrap();
         let mut payload = WritePayload::new(String::from("b"));
         let guard = epoch::pin();
@@ -519,7 +542,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "write payload type must match")]
     fn publish_payload_wrong_type_panics() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         core.try_lock(1).unwrap();
         let mut payload = WritePayload::new("wrong");
         let guard = epoch::pin();
@@ -528,7 +551,7 @@ mod tests {
 
     #[test]
     fn pending_wv_lifecycle_publish_and_abort() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         assert_eq!(core.pending_wv(), 0, "fresh var has no announced wv");
         core.try_lock(1).unwrap();
         assert_eq!(core.pending_wv(), 0, "locking alone is the sentinel");
@@ -545,7 +568,7 @@ mod tests {
 
     #[test]
     fn watermark_retains_every_version_a_live_bound_can_reach() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         // A live snapshot bound of 15 forces retention of version 10
         // (the newest <= 15) no matter how deep the chain grows.
@@ -565,7 +588,7 @@ mod tests {
 
     #[test]
     fn watermark_above_head_reduces_to_head_only_retention() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         for i in 1..=10u64 {
             core.try_lock(1).unwrap();
@@ -578,7 +601,7 @@ mod tests {
 
     #[test]
     fn released_bound_lets_the_next_publish_shed_what_it_pinned() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         for i in 1..=5u64 {
             core.try_lock(1).unwrap();
@@ -594,7 +617,7 @@ mod tests {
 
     #[test]
     fn watermark_zero_retains_the_whole_chain() {
-        let core = VarCore::new(0i64, 0);
+        let core = TCell::new(0i64, 0);
         let guard = epoch::pin();
         // A snapshot pinned before every publish keeps all history: the
         // initial version-0 node is the watermark cut and everything

@@ -1,4 +1,4 @@
-//! `TVar::peek`: the hint-grade read. It promises little — a value some
+//! `TCell::peek`: the hint-grade read. It promises little — a value some
 //! commit published, valid by reference while the guard is pinned — and
 //! these tests hold it to exactly that, beside a committer that
 //! supersedes the peeked version and a parked snapshot that first

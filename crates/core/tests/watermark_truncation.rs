@@ -7,7 +7,7 @@
 //!
 //! Companion to the registry's own unit tests in `snapreg.rs`: those
 //! check the watermark arithmetic; these check the end-to-end promise
-//! through commit-time truncation in `VarCore`.
+//! through commit-time truncation in `TCell`.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Barrier;

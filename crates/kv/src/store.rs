@@ -5,24 +5,27 @@
 //!
 //! Keys hash to one of N **shards** (power of two, cache-padded so
 //! shard headers never false-share). Each shard owns a **bucket table**
-//! behind a `TVar<Table>`: a power-of-two array of `TVar<Bucket>`
-//! registers indexed by the key's hash, a bucket being an immutable
-//! array of the records that hash there. One register per bucket and
-//! nothing else per record: `get` reads the table register and one
-//! bucket and clones the value out (`get_into` copies its bytes out
-//! instead); `put`/`delete` copy that one small
-//! array with the change applied and write it back. A bucket is never
-//! full, so there is no probing, no deleted marker and no growth inside
-//! a running transaction; a put that leaves 8 entries (`MAX_BUCKET`) asks
-//! for the shard to double after it commits (`resize_shard`).
+//! behind a `TVar<Table>`: a power-of-two [`TVarArray`] of bucket
+//! registers indexed by the key's hash — the registers themselves, 32
+//! bytes each, inline in one allocation per table — a bucket being an
+//! immutable array of the records that hash there. One register per
+//! bucket and nothing else per record: `get` reads the table register
+//! and one bucket and clones the value out (`get_into` copies its bytes
+//! out instead); `put`/`delete` copy that one small array with the
+//! change applied and write it back. A bucket is never full, so there
+//! is no probing, no deleted marker and no growth inside a running
+//! transaction; a put that leaves 8 entries (`MAX_BUCKET`) asks for the
+//! shard to grow after it commits (`resize_shard`).
 //!
-//! A store can also start full: [`KvStore::with_records`] (crash
-//! recovery's path) builds each shard's table directly, before the
-//! store is shared, at the length those doublings would settle at — the
-//! smallest power of two from `initial_slots` up at which no bucket
-//! holds `MAX_BUCKET` records, or the first at which the long bucket's
-//! keys cannot be separated. It runs no transaction, requests no
-//! growth and leaves no retired table behind.
+//! A table's length follows one rule wherever it is chosen
+//! (`settled_len`): the smallest power of two from a starting length up
+//! at which no bucket holds `MAX_BUCKET` records, or the first at which
+//! the long bucket's keys cannot be separated. Growth starts from the
+//! current length and swaps in the settled table in one transaction, so
+//! one large batch settles its shards at once; [`KvStore::with_records`]
+//! (crash recovery's path) starts from `initial_slots` and builds each
+//! shard's table directly, before the store is shared. It runs no
+//! transaction, requests no growth and leaves no retired table behind.
 //!
 //! The conflict granule is the bucket: overwrites of different keys
 //! that share one conflict, and every write conflicts with a concurrent
@@ -61,7 +64,7 @@
 //!   every shard, never aborting on read-write conflicts.
 //!
 //! Every read inside a transaction borrows its register's value
-//! ([`TVar::read_in`] under one [`PeekGuard`] per operation) instead of
+//! ([`polytm::TCell::read_in`] under one [`PeekGuard`] per operation) instead of
 //! cloning it, so no table or bucket read writes a reference count;
 //! only a doubling reads its buckets by value, because `split` shares
 //! the arrays by handle.
@@ -85,7 +88,8 @@ use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use polytm::{
-    ClassId, CommitInfo, PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult,
+    ClassId, CommitInfo, PeekGuard, Semantics, Stm, TVar, TVarArray, Transaction, TxParams,
+    TxResult,
 };
 
 use crate::value::Value;
@@ -107,11 +111,11 @@ const WARM_CHUNK: usize = 16;
 type Bucket = Option<Arc<[(u64, Value)]>>;
 
 /// A shard's bucket table. Cloning shares the register array (two
-/// words), so the `TVar<Table>` swap that doubles a shard stays inside
+/// words), so the `TVar<Table>` swap that grows a shard stays inside
 /// the STM's inline write-payload budget.
 #[derive(Clone)]
 struct Table {
-    buckets: Arc<[TVar<Bucket>]>,
+    buckets: TVarArray<Bucket>,
 }
 
 impl Table {
@@ -126,6 +130,9 @@ impl Table {
 // writes; both must take the descriptor's allocation-free inline path.
 const _: () = assert!(polytm::write_payload_fits_inline::<Bucket>());
 const _: () = assert!(polytm::write_payload_fits_inline::<Table>());
+// A bucket register is four words, inline in its table.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(size_of::<polytm::TCell<Bucket>>() == 32);
 
 /// `start(p)` parameters per operation kind. The defaults encode the
 /// soundness analysis in the module docs; the classed constructor tags
@@ -564,12 +571,12 @@ impl KvStore {
     /// Hint that `keys` are about to be read: pull the cache lines a
     /// [`KvStore::get`] of each walks towards the core, and do nothing
     /// else — no transaction, no commit, no statistics, nothing
-    /// returned. A `get` chases five dependent lines (bucket slot →
-    /// register → version node → bucket array → value bytes), each a
-    /// miss on a working set beyond cache; back-to-back `get`s pay the
-    /// chains one after another. Here the keys go 16 (`WARM_CHUNK`) at a
-    /// time and *stage by stage*, so the misses of one stage are
-    /// independent loads the core overlaps.
+    /// returned. A `get` chases four dependent lines (bucket register →
+    /// version node → bucket array → value bytes), each a miss on a
+    /// working set beyond cache; back-to-back `get`s pay the chains one
+    /// after another. Here the keys go 16 (`WARM_CHUNK`) at a time and
+    /// *stage by stage*, one line per stage, so the misses of one stage
+    /// are independent loads the core overlaps.
     ///
     /// One epoch pin covers the whole call: a pin is a sequentially
     /// consistent fence, and one per key would serialize exactly the
@@ -580,16 +587,17 @@ impl KvStore {
     pub fn warm(&self, keys: &[u64]) {
         let guard = PeekGuard::pin();
         for chunk in keys.chunks(WARM_CHUNK) {
-            // Table registers are few and stay cached; the bucket slot
-            // is the first line that is not.
-            let mut slots: [Option<&TVar<Bucket>>; WARM_CHUNK] = [None; WARM_CHUNK];
-            for (slot, &key) in slots.iter_mut().zip(chunk) {
+            // Table registers are few and stay cached, and a bucket
+            // register's address is arithmetic on its table: the
+            // register's head pointer is the first line that is not.
+            let mut heads: [Option<&Bucket>; WARM_CHUNK] = [None; WARM_CHUNK];
+            for (head, &key) in heads.iter_mut().zip(chunk) {
                 let table = self.shards[self.shard_of(key)].peek(&guard);
-                *slot = Some(&table.buckets[table.index_of(key)]);
+                *head = Some(table.buckets[table.index_of(key)].peek(&guard));
             }
             let mut buckets: [&[(u64, Value)]; WARM_CHUNK] = [&[]; WARM_CHUNK];
-            for (bucket, slot) in buckets.iter_mut().zip(slots.iter().flatten()) {
-                *bucket = entries(slot.peek(&guard));
+            for (bucket, head) in buckets.iter_mut().zip(heads.iter().flatten()) {
+                *bucket = entries(head);
             }
             let mut values: [Option<&Value>; WARM_CHUNK] = [None; WARM_CHUNK];
             for ((value, bucket), &key) in values.iter_mut().zip(buckets).zip(chunk) {
@@ -602,7 +610,7 @@ impl KvStore {
         }
     }
 
-    /// Insert-or-overwrite; returns the previous value. Doubles the
+    /// Insert-or-overwrite; returns the previous value. Grows the
     /// shard's table (its own transaction, after this one commits) when
     /// the bucket got long.
     pub fn put(&self, key: u64, value: Value) -> Option<Value> {
@@ -665,17 +673,17 @@ impl KvStore {
     /// stable sort, so equal keys keep their input order and the last
     /// occurrence's upsert lands last.)
     pub fn multi_put(&self, entries: &[(u64, Value)]) {
-        let mut sorted: Vec<(u64, Value)> = entries.to_vec();
+        let mut sorted: Vec<&(u64, Value)> = entries.iter().collect();
         // Stable by key: duplicate keys keep their input order, so the
         // batch's last entry for a key deterministically wins (each put
-        // is an upsert).
-        sorted.sort_by_key(|&(k, _)| k);
+        // is an upsert). References: each attempt clones a value once.
+        sorted.sort_by_key(|entry| entry.0);
         let requests = self.stm.run(self.params.update, |tx| {
             let mut requests = GrowSet::default();
-            for (key, value) in &sorted {
-                let raw = self.put_raw(tx, *key, value.clone())?;
+            for &(key, ref value) in sorted.iter().copied() {
+                let raw = self.put_raw(tx, key, value.clone())?;
                 if let Some(observed_len) = raw.grow {
-                    requests.note(self.shard_of(*key), observed_len);
+                    requests.note(self.shard_of(key), observed_len);
                 }
             }
             Ok(requests)
@@ -773,19 +781,20 @@ impl KvStore {
         }
     }
 
-    /// Double shard `si`'s table in one monomorphic transaction:
-    /// bucket *i* splits into *i* and *i + len* by the hash bit the
-    /// longer mask newly exposes. `observed_len` is the table length
-    /// the requesting operation wrote through: requests for one
-    /// pressure event serialize here, and one that finds the table
-    /// already swapped to a different length stands down (this is what
-    /// keeps stacked requests from doubling a shard repeatedly). So
-    /// does one that counts fewer than one record per four registers:
-    /// a bucket long at that load holds keys that agree on every hash
-    /// bit a table indexes by, which no doubling separates, so the
-    /// store accepts the long bucket instead of doubling without bound.
-    /// Reading every bucket makes the doubling conflict with every
-    /// concurrent write to the shard; the loser re-runs.
+    /// Grow shard `si`'s table in one monomorphic transaction, straight
+    /// to the length `settled_len` chooses from the current one: the
+    /// records of bucket *i* spread over the buckets *i + k·len* by the
+    /// hash bits the longer mask newly exposes. `observed_len` is the
+    /// table length the requesting operation wrote through: requests
+    /// for one pressure event serialize here, and one that finds the
+    /// table already swapped to a different length stands down (this is
+    /// what keeps stacked requests from growing a shard repeatedly). So
+    /// does one whose table has already settled: no bucket is long any
+    /// more, or the long bucket's keys agree on every hash bit a table
+    /// indexes by, which no growth separates, so the store accepts the
+    /// long bucket instead of doubling without bound. Reading every
+    /// bucket makes the growth conflict with every concurrent write to
+    /// the shard; the loser re-runs.
     fn resize_shard(&self, si: usize, observed_len: usize) {
         self.stm.run(TxParams::new(Semantics::Opaque), |tx| {
             let guard = PeekGuard::pin();
@@ -794,21 +803,20 @@ impl KvStore {
             if len != observed_len {
                 return Ok(()); // already swapped: the pressure event was handled
             }
-            let mut halves: Vec<Bucket> = vec![None; len * 2];
-            let mut records = 0usize;
-            for (i, register) in table.buckets.iter().enumerate() {
-                // By value: `split` shares the array by handle.
-                let bucket = register.read(tx)?;
-                records += entries(&bucket).len();
-                let (low, high) = split(bucket, len);
-                halves[i] = low;
-                halves[i + len] = high;
+            // By value: `split` shares the arrays by handle.
+            let old: Vec<Bucket> =
+                table.buckets.iter().map(|register| register.read(tx)).collect::<TxResult<_>>()?;
+            let hashes: Vec<usize> =
+                old.iter().flat_map(entries).map(|(key, _)| KvStore::slot_start(*key)).collect();
+            let new_len = settled_len(len, &hashes);
+            if new_len == len {
+                return Ok(()); // settled: nothing growth would separate
             }
-            if inseparable(records, len) {
-                return Ok(()); // accept the long bucket
+            let mut buckets: Vec<Bucket> = vec![None; new_len];
+            for bucket in old {
+                split(bucket, new_len, |at, part| buckets[at] = part);
             }
-            let buckets = halves.into_iter().map(|b| self.stm.new_tvar(b)).collect();
-            self.shards[si].write(tx, Table { buckets })
+            self.shards[si].write(tx, Table { buckets: self.stm.new_tvar_array(buckets) })
         })
     }
 }
@@ -839,7 +847,7 @@ fn check_config(config: &KvConfig) {
 }
 
 fn fresh_table(stm: &Stm, buckets: usize) -> Table {
-    Table { buckets: (0..buckets).map(|_| stm.new_tvar(None)).collect() }
+    Table { buckets: stm.new_tvar_array((0..buckets).map(|_| None)) }
 }
 
 /// Whether a long bucket in a `len`-register table holding `records`
@@ -851,39 +859,46 @@ fn inseparable(records: usize, len: usize) -> bool {
     records * 4 < len
 }
 
-/// A table holding one shard's `records` (distinct keys) at the length
-/// doublings from `initial` settle at: the smallest power of two at
-/// which no bucket holds `MAX_BUCKET` records, or the first at which
-/// the keys are [`inseparable`]. Below `records / (MAX_BUCKET - 1)`
-/// registers some bucket is long by pigeonhole, so the search starts
-/// there.
-fn sized_table(stm: &Stm, initial: usize, records: Vec<(u64, Value)>) -> Table {
-    let floor = records.len().div_ceil(MAX_BUCKET - 1).next_power_of_two();
-    let mut len = initial.max(floor);
-    let index = |key: u64, len: usize| KvStore::slot_start(key) & (len - 1);
+/// The one table-length rule: for a shard whose records hash to
+/// `hashes` (`KvStore::slot_start` of each key), the smallest power of
+/// two from `from` up at which no bucket holds `MAX_BUCKET` records, or
+/// the first at which the keys are [`inseparable`]. Below
+/// `records / (MAX_BUCKET - 1)` registers some bucket is long by
+/// pigeonhole, so the search starts there.
+fn settled_len(from: usize, hashes: &[usize]) -> usize {
+    let floor = hashes.len().div_ceil(MAX_BUCKET - 1).next_power_of_two();
+    let mut len = from.max(floor);
     let mut counts = Vec::new();
     loop {
         counts.clear();
         counts.resize(len, 0usize);
-        for (key, _) in &records {
-            counts[index(*key, len)] += 1;
-        }
-        let long = counts.iter().any(|&n| n >= MAX_BUCKET);
-        if !long || inseparable(records.len(), len) {
-            break;
+        let long = hashes.iter().any(|hash| {
+            let count = &mut counts[hash & (len - 1)];
+            *count += 1;
+            *count >= MAX_BUCKET
+        });
+        if !long || inseparable(hashes.len(), len) {
+            return len;
         }
         len *= 2;
     }
-    let mut buckets: Vec<Vec<(u64, Value)>> =
-        counts.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for record in records {
-        buckets[index(record.0, len)].push(record);
+}
+
+/// A table holding one shard's `records` (distinct keys) at the length
+/// growth from `initial` settles at ([`settled_len`]).
+fn sized_table(stm: &Stm, initial: usize, records: Vec<(u64, Value)>) -> Table {
+    let hashes: Vec<usize> = records.iter().map(|(key, _)| KvStore::slot_start(*key)).collect();
+    let len = settled_len(initial, &hashes);
+    let mut counts = vec![0usize; len];
+    for hash in &hashes {
+        counts[hash & (len - 1)] += 1;
     }
-    let buckets = buckets
-        .into_iter()
-        .map(|bucket| stm.new_tvar((!bucket.is_empty()).then(|| bucket.into())))
-        .collect();
-    Table { buckets }
+    let mut buckets: Vec<Vec<(u64, Value)>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (record, hash) in records.into_iter().zip(hashes) {
+        buckets[hash & (len - 1)].push(record);
+    }
+    let buckets = buckets.into_iter().map(|bucket| (!bucket.is_empty()).then(|| bucket.into()));
+    Table { buckets: stm.new_tvar_array(buckets) }
 }
 
 /// The records of a bucket (none for the empty bucket).
@@ -896,20 +911,30 @@ fn find(records: &[(u64, Value)], key: u64) -> Option<&Value> {
     records.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
-/// Split a bucket of a `len`-register table into the two buckets that
-/// replace it in the doubled table: records whose hash has bit `len`
-/// clear stay at the old index, the rest move `len` up. A bucket that
-/// lands whole on one side keeps its array (shared by handle).
-fn split(bucket: Bucket, len: usize) -> (Bucket, Bucket) {
-    let moves_up = |e: &(u64, Value)| KvStore::slot_start(e.0) & len != 0;
+/// Hands `place` the parts of `bucket` a `len`-register table holds, by
+/// index. A bucket whose records all land at one index keeps its array
+/// (shared by handle).
+fn split(bucket: Bucket, len: usize, mut place: impl FnMut(usize, Bucket)) {
+    let index = |key: u64| KvStore::slot_start(key) & (len - 1);
     let all = entries(&bucket);
-    match all.iter().filter(|e| moves_up(e)).count() {
-        0 => (bucket, None),
-        n if n == all.len() => (None, bucket),
-        _ => {
-            let (high, low): (Vec<_>, Vec<_>) = all.iter().cloned().partition(moves_up);
-            (Some(low.into()), Some(high.into()))
+    let Some(&(first, _)) = all.first() else {
+        return;
+    };
+    let at = index(first);
+    if all.iter().all(|(key, _)| index(*key) == at) {
+        place(at, bucket);
+        return;
+    }
+    let mut parts: Vec<(usize, Vec<(u64, Value)>)> = Vec::new();
+    for record in all {
+        let at = index(record.0);
+        match parts.iter_mut().find(|(part_at, _)| *part_at == at) {
+            Some((_, part)) => part.push(record.clone()),
+            None => parts.push((at, vec![record.clone()])),
         }
+    }
+    for (at, part) in parts {
+        place(at, Some(part.into()));
     }
 }
 
@@ -1458,6 +1483,21 @@ mod tests {
         for (key, value) in &model {
             assert_eq!(store.get(*key).as_ref(), Some(value));
         }
+        assert_eq!(store.len(), model.len());
+    }
+
+    /// Growth goes straight to the settled length: after one large
+    /// batch into a default store, every shard has the layout
+    /// `with_records` would have built, one growth transaction each.
+    #[test]
+    fn one_large_batch_settles_every_shard_at_once() {
+        let store = KvStore::new(Arc::new(Stm::new()));
+        let model: BTreeMap<u64, Value> = (0..1u64 << 16).map(|k| (k, k.into())).collect();
+        let batch: Vec<(u64, Value)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+        store.multi_put(&batch);
+        let commits = store.stm().stats().commits;
+        assert!(commits <= 1 + store.shard_count() as u64, "{commits} commits");
+        assert_built_layout(&store, KvConfig::default().initial_slots, &model);
         assert_eq!(store.len(), model.len());
     }
 

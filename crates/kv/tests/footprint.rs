@@ -56,6 +56,10 @@ const RECORDS: u64 = 1 << 16;
 const CHUNK: u64 = 1024;
 const PASSES: u64 = 16;
 
+/// What a record costs at rest, plus 5 %: 192 bytes in release builds,
+/// 199 in debug builds, whose registers carry an STM tag.
+const PER_RECORD_BOUND: usize = if cfg!(debug_assertions) { 209 } else { 201 };
+
 /// A 64-byte record value stamped with the pass that wrote it.
 fn record(key: u64, pass: u64) -> Value {
     let mut bytes = [0u8; 64];
@@ -78,12 +82,13 @@ fn history_costs_memory_only_while_a_snapshot_can_reach_it() {
     let store = KvStore::new(Arc::new(Stm::new()));
     let held = || LIVE.load(Ordering::Relaxed) - empty;
 
-    // At rest: a few hundred bytes per 64-byte record, and about one
-    // bucket register per record.
+    // At rest: under 200 bytes per 64-byte record, and about one bucket
+    // register per record.
     write_pass(&store, 0);
     let baseline = held();
     let per_record = baseline / RECORDS as usize;
-    assert!(per_record <= 512, "{per_record} live heap bytes per 64-byte record");
+    println!("{per_record} live heap bytes per 64-byte record");
+    assert!(per_record <= PER_RECORD_BOUND, "{per_record} live heap bytes per 64-byte record");
     let capacity = store.capacity();
     assert!(capacity <= 2 * RECORDS as usize, "{capacity} registers for {RECORDS} records");
     let near_baseline = |bytes: usize| bytes <= baseline + baseline / 20;

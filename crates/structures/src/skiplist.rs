@@ -5,7 +5,7 @@
 //!
 //! Tower heights derive from a hash of the key, keeping the structure
 //! deterministic for reproducible benchmarks. Every descent reads links
-//! by reference ([`TVar::read_in`]): a hop clones no `Arc` and so writes
+//! by reference ([`polytm::TCell::read_in`]): a hop clones no `Arc` and so writes
 //! nothing the other threads' descents share. Only the links an update
 //! writes are owned clones.
 

@@ -9,15 +9,16 @@
 //! table such as Michael's (SPAA 2002) cannot express.
 //!
 //! Every read borrows the directory or bucket it reads
-//! ([`TVar::read_in`]) instead of cloning it; `insert` and `remove`
+//! ([`TCell::read_in`]) instead of cloning it; `insert` and `remove`
 //! clone only the bucket they write.
 
 use std::sync::Arc;
 
-use polytm::{PeekGuard, Semantics, Stm, TVar, Transaction, TxParams, TxResult};
+use polytm::{PeekGuard, Semantics, Stm, TCell, TVar, TVarArray, Transaction, TxParams, TxResult};
 
 type Bucket = Vec<u64>;
-type Directory = Arc<Vec<TVar<Bucket>>>;
+/// The bucket registers, inline in one allocation.
+type Directory = TVarArray<Bucket>;
 
 /// Resizable transactional hash set of `u64` keys.
 ///
@@ -76,7 +77,7 @@ impl TxHashSet {
             !op_semantics.is_read_only(),
             "update operations write; read-only semantics cannot commit them"
         );
-        let dir: Directory = Arc::new((0..buckets).map(|_| stm.new_tvar(Vec::new())).collect());
+        let dir = stm.new_tvar_array((0..buckets).map(|_| Vec::new()));
         let dir = stm.new_tvar(dir);
         Self { stm, dir, max_load, op_params: TxParams::new(op_semantics) }
     }
@@ -100,7 +101,7 @@ impl TxHashSet {
         tx: &mut Transaction<'_>,
         key: u64,
         guard: &'g PeekGuard,
-    ) -> TxResult<&'g TVar<Bucket>> {
+    ) -> TxResult<&'g TCell<Bucket>> {
         let dir = self.dir.read_in(tx, guard)?;
         Ok(&dir[bucket_index(key, dir.len())])
     }
@@ -195,9 +196,7 @@ impl TxHashSet {
             for k in all_keys {
                 new_buckets[bucket_index(k, new_n)].push(k);
             }
-            let new_dir: Directory =
-                Arc::new(new_buckets.into_iter().map(|b| self.stm.new_tvar(b)).collect());
-            self.dir.write(tx, new_dir)?;
+            self.dir.write(tx, self.stm.new_tvar_array(new_buckets))?;
             Ok(new_n)
         })
     }

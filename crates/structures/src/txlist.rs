@@ -8,7 +8,7 @@
 //! whenever any visited node is overwritten — experiment E4/E5 measures
 //! exactly that gap.
 //!
-//! Traversals read links by reference ([`TVar::read_in`]), so a hop
+//! Traversals read links by reference ([`polytm::TCell::read_in`]), so a hop
 //! clones no `Arc` and writes nothing other traversals share; only the
 //! links an update writes are owned clones.
 

@@ -1,6 +1,6 @@
 //! Reads by reference meet the attempt's own writes.
 //!
-//! `TVar::read_in` lends committed values straight out of the version
+//! `TCell::read_in` lends committed values straight out of the version
 //! chain, but a value the attempt wrote itself lives in the write set,
 //! and the attempt's next write to that register replaces it. These
 //! tests read an own write by reference, rewrite the register, and use
